@@ -1,39 +1,31 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! 1. **strided fast path** — pack a vector (fast path) vs the identical
-//!    layout wrapped so `strided_form` cannot recognize it (generic walk);
-//! 2. **commit-time flattening** — pack a committed type (flat slice
-//!    iteration) vs the same type uncommitted (streaming frame machine);
+//! 1. **compiled plan** — pack a committed vector through its cached
+//!    plan vs the plain segment walk over the same type;
+//! 2. **commit-time flattening** — compile a plan from a committed type
+//!    (flat slice iteration) vs the same type uncommitted (streaming
+//!    frame machine);
 //! 3. **online coalescing** — segment iteration with and without merging
 //!    adjacent runs, on a type built from mergeable blocks.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use nonctg_datatype::{as_bytes, pack_into, Datatype, SegIter};
+use nonctg_datatype::{as_bytes, pack_into, pack_into_uncompiled, Datatype, PackPlan, SegIter};
 use std::hint::black_box;
 
-/// The paper's layout (every other f64) hidden inside a struct so the
-/// strided recognizer rejects it and packing walks segments generically.
-fn vector_disguised(n: usize) -> Datatype {
-    let v = Datatype::vector(n, 1, 2, &Datatype::f64()).unwrap();
-    Datatype::structure(&[(1, 0, v)]).unwrap()
-}
-
-fn bench_strided_fast_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_strided_fast_path");
+fn bench_compiled_plan(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ablation_compiled_plan");
     g.sample_size(20);
     let n = 1usize << 16;
     let src: Vec<f64> = (0..2 * n).map(|i| i as f64).collect();
     let mut out = vec![0u8; n * 8];
-    let fast = Datatype::vector(n, 1, 2, &Datatype::f64()).unwrap(); // uncommitted: no flatten
-    let generic = vector_disguised(n);
-    assert!(nonctg_datatype::strided_form(&generic).is_none(), "disguise failed");
+    let vector = Datatype::vector(n, 1, 2, &Datatype::f64()).unwrap().commit();
 
     g.throughput(Throughput::Bytes((n * 8) as u64));
-    g.bench_function("with_fast_path", |b| {
-        b.iter(|| pack_into(black_box(as_bytes(&src)), 0, &fast, 1, &mut out).unwrap());
+    g.bench_function("compiled_plan", |b| {
+        b.iter(|| pack_into(black_box(as_bytes(&src)), 0, &vector, 1, &mut out).unwrap());
     });
-    g.bench_function("generic_walk", |b| {
-        b.iter(|| pack_into(black_box(as_bytes(&src)), 0, &generic, 1, &mut out).unwrap());
+    g.bench_function("segment_walk", |b| {
+        b.iter(|| pack_into_uncompiled(black_box(as_bytes(&src)), 0, &vector, 1, &mut out).unwrap());
     });
     g.finish();
 }
@@ -48,17 +40,12 @@ fn bench_flattening(c: &mut Criterion) {
     let streaming = Datatype::indexed(&blocks, &Datatype::f64()).unwrap();
     let flattened = Datatype::indexed(&blocks, &Datatype::f64()).unwrap().commit();
     assert!(flattened.flattened().is_some());
-    let span = (streaming.true_ub()) as usize + 64;
-    let src: Vec<u8> = (0..span).map(|i| i as u8).collect();
-    let bytes = streaming.size() as usize;
-    let mut out = vec![0u8; bytes];
 
-    g.throughput(Throughput::Bytes(bytes as u64));
     g.bench_function("flattened_slice", |b| {
-        b.iter(|| pack_into(black_box(&src), 0, &flattened, 1, &mut out).unwrap());
+        b.iter(|| PackPlan::compile(black_box(&flattened), 1).unwrap());
     });
     g.bench_function("streaming_frames", |b| {
-        b.iter(|| pack_into(black_box(&src), 0, &streaming, 1, &mut out).unwrap());
+        b.iter(|| PackPlan::compile(black_box(&streaming), 1).unwrap());
     });
     g.finish();
 }
@@ -86,5 +73,5 @@ fn bench_coalescing(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_strided_fast_path, bench_flattening, bench_coalescing);
+criterion_group!(benches, bench_compiled_plan, bench_flattening, bench_coalescing);
 criterion_main!(benches);

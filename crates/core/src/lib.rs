@@ -43,6 +43,7 @@ mod p2p;
 mod persistent;
 mod packbuf;
 mod rma;
+mod route;
 pub mod selector;
 pub mod trace;
 mod universe;

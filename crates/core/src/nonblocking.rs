@@ -280,7 +280,7 @@ impl Comm {
         let req =
             // `may_stream: false` — an isend must not block pumping chunks
             // (sendrecv posts the receive only after the isend returns).
-            self.send_impl(buf, origin, dtype, count, dst, tag, crate::p2p::SendMode::Standard, false)?;
+            self.send_impl(buf, origin, dtype, count, dst, tag, crate::route::SendMode::Standard, false)?;
         self.trace(crate::trace::EventKind::Isend, t0, Some(dst), bytes, Some(tag));
         Ok(req)
     }

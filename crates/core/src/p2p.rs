@@ -20,12 +20,14 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError};
 use nonctg_datatype::{self as dt, Datatype, PackPlan, Primitive, Scalar};
-use nonctg_simnet::{Access, Datapath, Platform};
+use nonctg_simnet::{Access, Platform};
 
 use crate::comm::{CacheState, Comm};
 use crate::error::{CoreError, Result};
 use crate::fabric::{poll_slice, reply_channel, Envelope, OpRecord, Payload, PooledBuf, Protocol};
 use crate::nonblocking::{SendRequest, SendState};
+use crate::route::{self, BufferSource, FaultSite, Path, Regions, RouteInput, SendMode, Staging, Step};
+use crate::selector::RegionShape;
 
 /// Bytes of bookkeeping the attached buffer pays per buffered message
 /// (`MPI_BSEND_OVERHEAD`).
@@ -106,14 +108,6 @@ impl RecvStatus {
 pub(crate) struct BsendBuffer {
     pub capacity: u64,
     pub in_use: Arc<AtomicU64>,
-}
-
-pub(crate) enum SendMode {
-    Standard,
-    /// Completes only once the receive is matched (`MPI_Ssend`): the
-    /// rendezvous path regardless of message size.
-    Synchronous,
-    Buffered,
 }
 
 /// Releases a buffered-send reservation when dropped. Held by the receive
@@ -217,6 +211,10 @@ impl Comm {
         self.send(dt::as_bytes(data), 0, &t, data.len(), dst, tag)
     }
 
+    /// Execute one send: gather the route's inputs (the plan cache is
+    /// consulted only where the route may use the answer), decide the
+    /// [`route`], then apply its charges, counters and trace events and
+    /// move the bytes.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_impl(
         &mut self,
@@ -243,268 +241,101 @@ impl Comm {
             OpRecord { kind: "send", peer: Some(self.global_rank(dst)), bytes: bytes as usize },
         );
         let op = sup.next_op(me);
+        let fault = p.fault.as_ref().map(|plan| FaultSite { plan, rank: me, op });
 
         let is_packed = dtype.signature().count(Primitive::Packed) > 0;
-        let eager =
-            !matches!(mode, SendMode::Synchronous) && bytes <= p.eager_threshold(is_packed);
-        let contiguous = matches!(access, Access::Contiguous);
-
-        // Wall-clock pipelining: a large derived-type rendezvous streams
-        // its payload as chunks so the receiver unpacks chunk k while we
-        // pack k+1. Decided before staging so the chunked path never
-        // builds the monolithic buffer. Only blocking sends may stream —
-        // an isend that blocked pumping chunks would deadlock a
-        // head-to-head sendrecv.
-        let mut stream_plan = if may_stream
-            && !eager
-            && !contiguous
-            && matches!(mode, SendMode::Standard | SendMode::Synchronous)
-            && bytes >= p.effective_pipeline().threshold_bytes
-        {
-            dt::plan_for(dtype, count)
-        } else {
-            None
+        let mut input = RouteInput {
+            mode,
+            bytes,
+            contiguous: matches!(access, Access::Contiguous),
+            eager_limit: p.eager_threshold(is_packed),
+            may_stream,
+            pipeline: p.effective_pipeline(),
+            stream_plan: false,
+            regions: Regions::Absent,
+            datapath: p.effective_datapath(),
+            platform: p.id,
+            parallel: route::parallel_pack(bytes),
+            origin,
+            buf_len: buf.len(),
+            span: dt::user_span(dtype, count),
         };
-
-        // Fault decisions are taken before any staging so both datapaths
-        // share them; all fault charges are exact (no jitter draws), so
-        // the virtual clock is identical whichever path runs. The v2
-        // degradation ladder is also decided here: every demotion flag is
-        // a pure function of (plan, rank, op), so a rerun of the same
-        // seed makes identical choices.
-        let mut corrupt_idx = None;
-        let mut pool_fault = false; // pooled staging -> owned buffers
-        let mut serial_pack = false; // parallel pack -> serial kernel
-        let mut plan_failed = false; // compiled plan -> uncompiled kernel
-        if let Some(plan) = &p.fault {
-            if plan.should_crash(me, op) {
+        let stream_plan =
+            if input.stream_candidate() { dt::plan_for(dtype, count) } else { None };
+        input.stream_plan = stream_plan.is_some();
+        if let Some(f) = fault {
+            if f.plan.should_crash(me, op) {
                 panic!("fault plan: injected crash of rank {me} at op {op}");
             }
-            let fault = plan.send_decision(me, op, bytes);
-            if !fault.is_clean() {
-                if fault.is_persistent() || fault.transient_failures >= MAX_SEND_ATTEMPTS {
-                    // Every attempt fails: charge the full backoff schedule
-                    // (one wait between consecutive attempts) and give up.
-                    let mut backoff = SEND_BACKOFF_BASE_S;
-                    for _ in 1..MAX_SEND_ATTEMPTS {
-                        self.charge_exact(backoff);
-                        backoff *= 2.0;
-                    }
-                    sup.with_faults(me, |s| s.failed_sends += 1);
-                    return Err(CoreError::SendFailed { dst, attempts: MAX_SEND_ATTEMPTS });
-                }
-                if fault.transient_failures > 0 {
-                    // Absorbed by retry: charge one doubling backoff per
-                    // failed attempt, then proceed as if clean.
-                    let mut backoff = SEND_BACKOFF_BASE_S;
-                    for _ in 0..fault.transient_failures {
-                        self.charge_exact(backoff);
-                        backoff *= 2.0;
-                    }
-                    sup.with_faults(me, |s| s.transient_retries += fault.transient_failures as u64);
-                }
-                if fault.delay > 0.0 {
-                    self.charge_exact(fault.delay);
-                    sup.with_faults(me, |s| s.delays += 1);
-                }
-                if fault.corrupt && bytes > 0 {
-                    corrupt_idx = Some(plan.corrupt_index(me, op, bytes as usize));
-                    sup.with_faults(me, |s| s.corruptions += 1);
-                }
-            }
-
-            // Sustained link degradation: a burst window multiplies the
-            // base latency; the surcharge above 1x is an exact charge so
-            // both datapaths see the same virtual clock.
-            let lf = plan.latency_factor(op);
-            if lf > 1.0 {
-                self.charge_exact(p.net.latency * (lf - 1.0));
-                sup.with_faults(me, |s| s.link_degradations += 1);
-            }
-
-            // Plan compilation failure: the compiled pack plan for this
-            // derived type "fails to build", so the send falls back to
-            // the uncompiled serial interpreter — which also rules out
-            // the chunk-streaming path (it requires a compiled plan).
-            if !contiguous && plan.plan_compile_fails(me, op) {
-                plan_failed = true;
-                stream_plan = None;
-                sup.with_faults(me, |s| s.plan_fallbacks += 1);
-                let t = self.clock.now();
-                self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
-            }
-
-            // Chunk-fault forecast: with this op's chunk schedule known
-            // up front, repeated per-chunk faults demote the transfer
-            // from pipelined to the monolithic (whole-payload)
-            // rendezvous before any chunk machinery spins up. Below the
-            // threshold the stream runs and absorbs each fault by
-            // re-packing (see `stream_send`).
-            if stream_plan.is_some() {
-                let chunk = p.effective_pipeline().chunk_bytes.max(1);
-                let n_chunks = bytes.div_ceil(chunk);
-                let faulty = (0..n_chunks)
-                    .filter(|&c| plan.chunk_decision(me, op, c).is_faulty())
-                    .count();
-                if faulty >= CHUNK_DEMOTE_THRESHOLD {
-                    stream_plan = None;
-                    sup.with_faults(me, |s| s.pipeline_demotions += 1);
-                    let t = self.clock.now();
-                    self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
-                }
-            }
-
-            // Payload-pool exhaustion: staging falls back from recycled
-            // pool buffers to owned allocations for this whole send.
-            if plan.pool_exhausted(me, op) {
-                pool_fault = true;
-                sup.with_faults(me, |s| s.pool_exhaustions += 1);
-                let t = self.clock.now();
-                self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
-            }
-
-            // Parallel-pack worker failure: only meaningful when this
-            // send would actually have fanned the pack out; the fallback
-            // is the serial kernel (`pack_into_serial` / threads = 1).
-            if !plan_failed
-                && !contiguous
-                && plan.pack_worker_fails(me, op)
-                && dt::pack_threads() > 1
-                && bytes as usize >= dt::parallel_threshold()
-            {
-                serial_pack = true;
-                sup.with_faults(me, |s| s.serial_fallbacks += 1);
-                let t = self.clock.now();
-                self.trace(crate::trace::EventKind::Demote, t, Some(dst), bytes as usize, Some(tag));
+        }
+        let mut regions = None;
+        if input.iov_eligible(fault) {
+            if let Some(pl) = dt::plan_for(dtype, count) {
+                regions = pl.regions(crate::selector::iov_max_regions());
+                input.regions = match &regions {
+                    Some(r) => Regions::Bounded(RegionShape::of(r, p.mem.cacheline)),
+                    None => Regions::Capped,
+                };
             }
         }
-        // Datapath selection (the adaptive engine): pack plan vs
-        // zero-copy iovec vs element copies. Forced modes (platform
-        // builder or `NONCTG_DATAPATH`) bypass the selector; auto
-        // consults the platform's crossover table. Iovec additionally
-        // needs a rendezvous, a compiled plan, and a bounded region
-        // list; when those are missing the choice falls back to pack.
-        let mut elem_pack = false;
-        let mut iov_regions: Option<Vec<(i64, u64)>> = None;
-        if !contiguous {
-            let iov_eligible = !eager
-                && !plan_failed
-                && matches!(mode, SendMode::Standard | SendMode::Synchronous);
-            // `capped` distinguishes "plan lowers to more regions than
-            // the iovec cap" (ddtbench WRF halos routinely do) from "no
-            // compiled plan at all": a capped list must *deterministically*
-            // demote a forced-iov send to pack, visibly.
-            let mut capped = false;
-            let regions = if iov_eligible {
-                dt::plan_for(dtype, count).and_then(|pl| {
-                    let r = pl.regions(crate::selector::iov_max_regions());
-                    capped = r.is_none();
-                    r
-                })
-            } else {
-                None
-            };
-            // Region-length shape for the selector and the cost model:
-            // sub-cacheline regions pay a full descriptor overhead.
-            let shape = regions
-                .as_ref()
-                .map(|r| crate::selector::RegionShape::of(r, p.mem.cacheline));
-            let choice = match p.effective_datapath() {
-                Datapath::Auto => {
-                    let c = crate::selector::choose_shape(p.id, bytes, shape);
-                    crate::selector::record(c);
-                    let t = self.clock.now();
-                    self.trace(
-                        crate::trace::EventKind::Select,
-                        t,
-                        Some(dst),
-                        bytes as usize,
-                        Some(tag),
-                    );
-                    c
-                }
-                forced => forced,
-            };
-            match choice {
-                Datapath::Iov if regions.is_some() => {
-                    if pool_fault || serial_pack {
-                        // Fault rung: with its staging pool gone or its
-                        // gather workers failing, the zero-copy path
-                        // demotes to the pack plan for this send.
-                        sup.with_faults(me, |s| s.iovec_demotions += 1);
-                        let t = self.clock.now();
-                        self.trace(
-                            crate::trace::EventKind::Demote,
-                            t,
-                            Some(dst),
-                            bytes as usize,
-                            Some(tag),
-                        );
-                    } else {
-                        iov_regions = regions;
-                        stream_plan = None;
-                    }
-                }
-                Datapath::Iov => {
-                    // Forced iovec without a bounded region list. When
-                    // the plan lowered to more than `iov_max_regions()`
-                    // descriptors this is the region-cap overflow rung of
-                    // the degradation ladder: count it and trace it like
-                    // every other iovec demotion instead of silently
-                    // packing. (Eager-protocol and plan-failure
-                    // fall-throughs stay silent: the former never was
-                    // iovec-eligible, the latter already counts
-                    // `plan_fallbacks`.)
-                    if capped {
-                        sup.with_faults(me, |s| s.iovec_demotions += 1);
-                        let t = self.clock.now();
-                        self.trace(
-                            crate::trace::EventKind::Demote,
-                            t,
-                            Some(dst),
-                            bytes as usize,
-                            Some(tag),
-                        );
-                    }
-                }
-                Datapath::Elem => {
-                    // The uncompiled engine: no plan, no streaming.
-                    elem_pack = true;
-                    stream_plan = None;
-                }
-                _ => {}
-            }
+        let route = route::route(&input, fault)?;
+
+        // Fault charges are exact (no jitter draws), so the virtual clock
+        // is identical whichever path runs.
+        let mut backoff = SEND_BACKOFF_BASE_S;
+        for _ in 0..route.retries {
+            self.charge_exact(backoff);
+            backoff *= 2.0;
+        }
+        if route.path == Path::Failed {
+            sup.with_faults(me, |s| s.failed_sends += 1);
+            return Err(CoreError::SendFailed { dst, attempts: MAX_SEND_ATTEMPTS });
+        }
+        if route.retries > 0 {
+            sup.with_faults(me, |s| s.transient_retries += route.retries as u64);
+        }
+        if route.delay > 0.0 {
+            self.charge_exact(route.delay);
+            sup.with_faults(me, |s| s.delays += 1);
+        }
+        if route.corrupt.is_some() {
+            sup.with_faults(me, |s| s.corruptions += 1);
+        }
+        // Sustained link degradation: a burst window multiplies the base
+        // latency; the surcharge above 1x is an exact charge.
+        if route.latency_factor > 1.0 {
+            self.charge_exact(p.net.latency * (route.latency_factor - 1.0));
+            sup.with_faults(me, |s| s.link_degradations += 1);
+        }
+        for &step in &route.steps {
+            self.take_step(step, Some(dst), bytes as usize, Some(tag));
         }
         let sig = dtype.signature().scaled(count as u64)?;
+        let corrupt_idx = route.corrupt;
 
-        if let Some(regions) = iov_regions {
-            return self.iovec_send(buf, origin, regions, bytes, &p, dst, tag, sig, corrupt_idx);
+        match route.path {
+            Path::Iovec => {
+                let regions = regions.expect("an iovec route has a bounded region list");
+                return self.iovec_send(buf, origin, regions, bytes, &p, dst, tag, sig, corrupt_idx);
+            }
+            Path::Chunked => {
+                let plan = stream_plan.expect("a chunked route has a compiled plan");
+                return self.stream_send(
+                    buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, corrupt_idx, op,
+                    route.buffer, route.staging == Staging::SerialPlan,
+                );
+            }
+            Path::Eager | Path::Rendezvous | Path::Failed => {}
         }
+        let eager = route.path == Path::Eager;
+        let contiguous = input.contiguous;
 
-        if let Some(plan) = stream_plan {
-            return self.stream_send(
-                buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, corrupt_idx, op,
-                pool_fault, serial_pack,
-            );
-        }
-
-        // Real data movement: stage the payload contiguously. The type is
-        // committed, so this runs the cached compiled plan; the staging
+        // Real data movement: stage the payload contiguously. The staging
         // buffer comes from (and returns to) the fabric's payload pool,
-        // so steady-state sends allocate nothing. Under pool exhaustion
+        // so steady-state sends allocate nothing; under pool exhaustion
         // the ladder drops to a plain owned allocation (never pooled).
-        let mut packed = if pool_fault {
-            PooledBuf::detached(vec![0u8; bytes as usize])
-        } else {
-            self.fabric().pool.take(bytes as usize)
-        };
-        if plan_failed || elem_pack {
-            dt::pack_into_uncompiled(buf, origin, dtype, count, &mut packed)?;
-        } else if serial_pack {
-            dt::pack_into_serial(buf, origin, dtype, count, &mut packed)?;
-        } else {
-            dt::pack_into(buf, origin, dtype, count, &mut packed)?;
-        }
+        let mut packed = self.staging_buf(route.buffer, bytes as usize);
+        route.staging.pack(buf, origin, dtype, count, &mut packed)?;
         if let Some(idx) = corrupt_idx {
             packed[idx] ^= 0xFF;
             // Corrupted payload bytes must never linger in a recycled
@@ -512,7 +343,6 @@ impl Comm {
             packed.poison();
         }
         let payload = Payload::Whole(packed);
-
         let mut bsend_release = None;
         let protocol = match mode {
             SendMode::Standard | SendMode::Synchronous if contiguous => {
@@ -588,6 +418,37 @@ impl Comm {
         Ok(SendRequest::new(SendState::Done(self.clock.now())))
     }
 
+    /// Count and trace one route step at the current virtual time.
+    pub(crate) fn take_step(
+        &mut self,
+        step: Step,
+        peer: Option<usize>,
+        bytes: usize,
+        tag: Option<i32>,
+    ) {
+        let kind = match step {
+            Step::Demote(rung) => {
+                let me = self.world_rank();
+                self.fabric().supervision.with_faults(me, |s| rung.count(s));
+                crate::trace::EventKind::Demote
+            }
+            Step::Select(choice) => {
+                crate::selector::record(choice);
+                crate::trace::EventKind::Select
+            }
+        };
+        let t = self.clock.now();
+        self.trace(kind, t, peer, bytes, tag);
+    }
+
+    /// A staging buffer of `n` bytes from `source`.
+    fn staging_buf(&self, source: BufferSource, n: usize) -> PooledBuf {
+        match source {
+            BufferSource::Pooled => self.fabric().pool.take(n),
+            BufferSource::Owned => PooledBuf::detached(vec![0u8; n]),
+        }
+    }
+
     fn post(
         &self,
         dst: usize,
@@ -629,7 +490,7 @@ impl Comm {
         sig: nonctg_datatype::Signature,
         corrupt_idx: Option<usize>,
         op: u64,
-        pool_fault: bool,
+        buffer: BufferSource,
         serial_pack: bool,
     ) -> Result<SendRequest> {
         let t_stage = self.clock.now();
@@ -653,8 +514,14 @@ impl Comm {
             None,
         );
 
-        let chunk = p.effective_pipeline().chunk_bytes.max(1);
-        let pool = Arc::clone(&self.fabric().pool);
+        let chunk = p.effective_pipeline().chunk_bytes;
+        let pack = |out: &mut [u8], lo, hi| {
+            if serial_pack {
+                plan.pack_range_into_with(buf, origin, out, lo, hi, 1)
+            } else {
+                plan.pack_range_into(buf, origin, out, lo, hi)
+            }
+        };
         let sup = Arc::clone(&self.fabric().supervision);
         let me = self.world_rank();
         let deadline = Instant::now() + sup.timeout();
@@ -674,15 +541,9 @@ impl Comm {
                 hi = plan.align_chunk(lo + step);
             }
             let n = (hi - lo) as usize;
-            let mut cbuf =
-                if pool_fault { PooledBuf::detached(vec![0u8; n]) } else { pool.take(n) };
-            let packed = if serial_pack {
-                plan.pack_range_into_with(buf, origin, &mut cbuf, lo, hi, 1)
-            } else {
-                plan.pack_range_into(buf, origin, &mut cbuf, lo, hi)
-            };
-            if let Err(e) = packed {
-                break Err(crate::error::CoreError::from(e));
+            let mut cbuf = self.staging_buf(buffer, n);
+            if let Err(e) = pack(&mut cbuf, lo, hi) {
+                break Err(e.into());
             }
             // Per-chunk fault mid-pipeline: the faulted staging buffer is
             // poisoned (quarantined on drop, never recycled) and the
@@ -698,18 +559,9 @@ impl Comm {
                     }
                     cbuf.poison();
                     drop(cbuf);
-                    cbuf = if pool_fault {
-                        PooledBuf::detached(vec![0u8; n])
-                    } else {
-                        pool.take(n)
-                    };
-                    let repacked = if serial_pack {
-                        plan.pack_range_into_with(buf, origin, &mut cbuf, lo, hi, 1)
-                    } else {
-                        plan.pack_range_into(buf, origin, &mut cbuf, lo, hi)
-                    };
-                    if let Err(e) = repacked {
-                        break Err(crate::error::CoreError::from(e));
+                    cbuf = self.staging_buf(buffer, n);
+                    if let Err(e) = pack(&mut cbuf, lo, hi) {
+                        break Err(e.into());
                     }
                     sup.with_faults(me, |s| s.chunk_retries += 1);
                 }
@@ -1032,7 +884,7 @@ impl Comm {
                     .and_then(|pl| pl.regions(crate::selector::iov_max_regions()));
                 match rregions {
                     Some(rr) => {
-                        let buf_len = buf.len();
+                        dt::check_span(origin, dt::user_span(dtype, incoming_count), buf.len())?;
                         let mut pos = 0usize;
                         for &(off, len) in &rr {
                             if pos >= data.len() {
@@ -1040,12 +892,7 @@ impl Comm {
                             }
                             let len = (len as usize).min(data.len() - pos);
                             let lo = (origin as i64 + off) as usize;
-                            buf.get_mut(lo..lo + len)
-                                .ok_or(nonctg_datatype::DatatypeError::BufferTooSmall {
-                                    needed: lo + len,
-                                    available: buf_len,
-                                })?
-                                .copy_from_slice(&data[pos..pos + len]);
+                            buf[lo..lo + len].copy_from_slice(&data[pos..pos + len]);
                             pos += len;
                         }
                         crate::invariants::check_recv_conservation(

@@ -6,11 +6,19 @@
 //! which is why packing-by-element is disastrous and packing-a-vector
 //! matches manual copying.
 
-use nonctg_datatype::{self as dt, Datatype};
+use nonctg_datatype::{self as dt, Datatype, PackPlan};
 use nonctg_simnet::Access;
 
 use crate::comm::{CacheState, Comm};
 use crate::error::Result;
+use crate::route::{self, FaultSite, Staging, Step};
+
+/// `outbuf` from `position` on: `MPI_Pack`'s position check.
+fn tail(outbuf: &mut [u8], position: usize) -> Result<&mut [u8]> {
+    let buffer_len = outbuf.len();
+    let err = dt::DatatypeError::InvalidPosition { position, buffer_len };
+    outbuf.get_mut(position..).ok_or(err.into())
+}
 
 impl Comm {
     /// Upper bound (here: exact) packed size of `count` instances
@@ -35,11 +43,11 @@ impl Comm {
     /// Charges one library-call overhead plus the gather cost — calling
     /// this once per element reproduces the paper's packing(e) scheme.
     ///
-    /// An explicit pack rides the same degradation ladder as the
-    /// internal staging pack: an injected plan-compile failure falls
-    /// back to the uncompiled interpreter, an injected parallel-pack
-    /// worker failure pins the serial kernel — both counted in
-    /// [`crate::FaultStats`] and traced as demotions.
+    /// An explicit pack takes the same staging decision as a send
+    /// ([`route::staging`]): an injected plan-compile failure walks the
+    /// segments, an injected parallel-pack worker failure pins the serial
+    /// plan — both counted in [`crate::FaultStats`] and traced as
+    /// demotions.
     pub fn pack(
         &mut self,
         src: &[u8],
@@ -52,44 +60,22 @@ impl Comm {
         dtype.require_committed()?;
         let bytes = dt::pack_size(dtype, count)? as u64;
         let access = Access::classify(dtype);
-        let mut plan_failed = false;
-        let mut serial = false;
+        let mut staging = Staging::Plan;
+        // Fault schedules are keyed by op, so an op id is drawn only when
+        // a fault plan could use it.
         if !matches!(access, Access::Contiguous) {
-            if let Some(fp) = self.platform().fault.clone() {
-                let me = self.world_rank();
-                let sup = std::sync::Arc::clone(&self.fabric().supervision);
-                let op = sup.next_op(me);
-                if fp.plan_compile_fails(me, op) {
-                    plan_failed = true;
-                    sup.with_faults(me, |s| s.plan_fallbacks += 1);
-                    let t = self.wtime();
-                    self.trace(crate::trace::EventKind::Demote, t, None, bytes as usize, None);
-                } else if fp.pack_worker_fails(me, op)
-                    && dt::pack_threads() > 1
-                    && bytes as usize >= dt::parallel_threshold()
-                {
-                    serial = true;
-                    sup.with_faults(me, |s| s.serial_fallbacks += 1);
-                    let t = self.wtime();
-                    self.trace(crate::trace::EventKind::Demote, t, None, bytes as usize, None);
+            if let Some(plan) = self.platform().fault.clone() {
+                let rank = self.world_rank();
+                let op = self.fabric().supervision.next_op(rank);
+                let site = FaultSite { plan: &plan, rank, op };
+                let (engine, rung) = route::staging(false, route::parallel_pack(bytes), Some(site));
+                staging = engine;
+                if let Some(rung) = rung {
+                    self.take_step(Step::Demote(rung), None, bytes as usize, None);
                 }
             }
         }
-        if *position > outbuf.len() {
-            return Err(dt::DatatypeError::InvalidPosition {
-                position: *position,
-                buffer_len: outbuf.len(),
-            }
-            .into());
-        }
-        let written = if plan_failed {
-            dt::pack_into_uncompiled(src, origin, dtype, count, &mut outbuf[*position..])?
-        } else if serial {
-            dt::pack_into_serial(src, origin, dtype, count, &mut outbuf[*position..])?
-        } else {
-            dt::pack_into(src, origin, dtype, count, &mut outbuf[*position..])?
-        };
-        *position += written;
+        *position += staging.pack(src, origin, dtype, count, tail(outbuf, *position)?)?;
         let warm = self.is_warm();
         let t0 = self.wtime();
         let t = self.platform().pack_call_time(bytes, &access, warm);
@@ -100,10 +86,11 @@ impl Comm {
     }
 
     /// Element-wise packing: exactly equivalent (in data *and* virtual
-    /// time) to calling [`Comm::pack`] once per element with a primitive
-    /// `elem` type, reading element `i` from byte
-    /// `first_origin + i*stride_bytes` — but performs the data movement in
-    /// one batched strided copy so the wall-clock cost stays sane at 10^8
+    /// time) to calling [`Comm::pack`] once per element with a dense
+    /// `elem` type (a primitive or a contiguous run), reading element `i`
+    /// from byte
+    /// `first_origin + i*stride_bytes` — but moves the data in one
+    /// batched plan execution so the wall-clock cost stays sane at 10^8
     /// elements. This is the paper's packing(e) scheme.
     #[allow(clippy::too_many_arguments)]
     pub fn pack_elementwise(
@@ -118,14 +105,18 @@ impl Comm {
     ) -> Result<()> {
         elem.require_committed()?;
         let sz = elem.size() as usize;
-        // Real data movement, identical to n individual packs. Left
-        // uncommitted on purpose: a fresh type per call would churn the
-        // compiled-plan cache; the uncompiled strided path is used instead.
-        let strided = Datatype::hvector(n, 1, stride_bytes as i64, elem)?;
-        dt::pack_with_position(src, first_origin, &strided, 1, outbuf, position)?;
+        // Real data movement, identical to n individual packs: one element
+        // tiled by the stride is an O(1) type, and its plan is compiled
+        // uncached because the type is new on every call.
+        let tile = Datatype::resized(elem, 0, stride_bytes as u64)?;
+        let out = tail(outbuf, *position)?;
+        *position += match PackPlan::compile(&tile, n) {
+            Some(plan) => plan.pack_into(src, first_origin, out)?,
+            None => dt::pack_into_uncompiled(src, first_origin, &tile, n, out)?,
+        };
         // Virtual time: n library calls, each gathering one element. A
-        // single element of a primitive type classifies as contiguous,
-        // exactly as n separate `pack` calls would.
+        // single dense element classifies as contiguous, exactly as n
+        // separate `pack` calls would.
         let warm = self.is_warm();
         let t0 = self.wtime();
         let per_call = self.platform().pack_call_time(sz as u64, &Access::Contiguous, warm);

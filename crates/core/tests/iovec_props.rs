@@ -123,10 +123,15 @@ fn pool_exhaustion_demotes_iovec_to_pack() {
     assert_layout(&src, &r0, count, blocklen, stride, 0xAA);
 }
 
+/// Serializes the tests that read the process-wide selector counters:
+/// run concurrently, one test's auto-mode sends land in the other's delta.
+static SELECTOR_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// In auto mode a long-region rendezvous workload actually routes
 /// through the selector to iovec, and matches the forced-pack result.
 #[test]
 fn auto_mode_selects_iovec_for_long_regions() {
+    let _serial = SELECTOR_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let (count, blocklen, stride) = (256usize, 512usize, 768usize);
     let (t, src) = vector_case(count, blocklen, stride);
     let base = nonctg_core::selector_counters();
@@ -143,6 +148,7 @@ fn auto_mode_selects_iovec_for_long_regions() {
 /// figures the repo reproduces.
 #[test]
 fn auto_mode_keeps_pack_for_paper_workloads() {
+    let _serial = SELECTOR_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let (count, blocklen, stride) = (32 * 1024usize, 8usize, 16usize);
     let (t, src) = vector_case(count, blocklen, stride);
     let base = nonctg_core::selector_counters();
@@ -176,4 +182,36 @@ fn iovec_is_faster_for_long_regions() {
     let pack = time_with(quiet().with_datapath(Datapath::Pack));
     let iov = time_with(quiet().with_datapath(Datapath::Iov));
     assert!(iov < pack, "iovec not faster: iov={iov:e} pack={pack:e}");
+}
+
+/// A user buffer shorter than the message is the same typed
+/// `OutOfBounds` whether the bytes would be staged by the pack plan or
+/// gathered and scattered by regions — on the send side and the receive
+/// side — and never a rank panic.
+#[test]
+fn short_buffers_give_equal_typed_errors() {
+    let t = Datatype::vector(64, 512, 1024, &Datatype::f64()).unwrap().commit();
+    let extent = t.extent() as usize;
+    let expected = nonctg_core::datatype::DatatypeError::OutOfBounds {
+        needed_from: 0,
+        needed_to: extent as i64,
+        buffer_len: extent / 2,
+    };
+    for dp in [Datapath::Pack, Datapath::Iov] {
+        let t = t.clone();
+        let mut results = Universe::run_supervised(quiet().with_datapath(dp), 2, move |comm| {
+            if comm.rank() == 0 {
+                let short_send = comm.send(&vec![1u8; extent / 2], 0, &t, 1, 1, 0);
+                comm.send(&vec![1u8; extent], 0, &t, 1, 1, 1)?;
+                Ok(short_send.unwrap_err())
+            } else {
+                let mut short = vec![0u8; extent / 2];
+                Ok(comm.recv(&mut short, 0, &t, 1, Some(0), Some(1)).unwrap_err())
+            }
+        });
+        let recv_err = results.pop().unwrap().expect("rank 1 must not panic");
+        let send_err = results.pop().unwrap().expect("rank 0 must not panic");
+        assert_eq!(send_err, nonctg_core::CoreError::Datatype(expected.clone()), "{dp:?} send");
+        assert_eq!(recv_err, nonctg_core::CoreError::Datatype(expected.clone()), "{dp:?} recv");
+    }
 }

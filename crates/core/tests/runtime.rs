@@ -217,6 +217,40 @@ fn packed_send_matches_typed_recv() {
     });
 }
 
+/// `pack_elementwise` is exactly n separate `Comm::pack` calls: the same
+/// bytes, the same `position` and the same virtual time (up to the order
+/// of a float sum), on both sides of n = 4096, at a stride other than
+/// two elements, and for a dense non-primitive element.
+#[test]
+fn pack_elementwise_equals_separate_packs() {
+    let f64_t = Datatype::f64().commit();
+    let pair = Datatype::contiguous(2, &Datatype::f64()).unwrap().commit();
+    let cases = [(f64_t.clone(), 16, 100), (f64_t.clone(), 16, 5000), (f64_t, 24, 4095), (pair, 48, 4097)];
+    for (elem, stride, n) in cases {
+        let sz = elem.size() as usize;
+        let src: Vec<u8> = (0..n * stride).map(|i| (i * 7 + 3) as u8).collect();
+        let (batched, separate) = Universe::run_pair(quiet(), move |comm| {
+            let mut out = vec![0u8; 8 + n * sz];
+            let mut pos = 8;
+            // Start warm, as every pack after the first is.
+            comm.pack(&src, 0, &elem, 1, &mut vec![0u8; sz], &mut 0).unwrap();
+            let t0 = comm.wtime();
+            if comm.rank() == 0 {
+                comm.pack_elementwise(&src, 0, stride, &elem, n, &mut out, &mut pos).unwrap();
+            } else {
+                for i in 0..n {
+                    comm.pack(&src, i * stride, &elem, 1, &mut out, &mut pos).unwrap();
+                }
+            }
+            (out, pos, comm.wtime() - t0)
+        });
+        assert_eq!(batched.0, separate.0, "bytes, n={n} stride={stride}");
+        assert_eq!(batched.1, separate.1, "position, n={n} stride={stride}");
+        let (a, b) = (batched.2, separate.2);
+        assert!((a - b).abs() <= 1e-9 * b, "virtual time {a} vs {b}, n={n} stride={stride}");
+    }
+}
+
 #[test]
 fn unpack_restores_layout() {
     let n = 16;

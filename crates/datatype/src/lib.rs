@@ -6,8 +6,9 @@
 //! `indexed`, `hindexed`, `indexed_block`, `struct`, `subarray`,
 //! `resized`), type-map algebra (size / extent / bounds / signatures),
 //! commit-time flattening with block coalescing, streaming segment
-//! iteration for arbitrarily large types, and a pack/unpack engine with
-//! contiguous, strided, and generic code paths.
+//! iteration for arbitrarily large types, and a pack/unpack engine: a
+//! cached compiled plan per committed type, with a plain segment walk as
+//! the fallback and the reference.
 //!
 //! ## Quick example
 //!
@@ -52,12 +53,12 @@ pub use kernels::{
 };
 pub use node::{ArrayOrder, Block, Datatype, Kind, StructField};
 pub use pack::{
-    pack, pack_into, pack_into_serial, pack_into_uncompiled, pack_size, pack_with_position,
-    strided_form, unpack_from, unpack_from_uncompiled, unpack_with_position, Strided,
+    check_span, pack, pack_into, pack_into_uncompiled, pack_size, pack_with_position,
+    strided_form, unpack_from, unpack_from_uncompiled, unpack_with_position, user_span, Strided,
 };
 pub use plan::{
-    cache_stats, pack_threads, parallel_threshold, plan_cache_stats, plan_for, reset_cache_stats,
-    PackPlan, PlanCacheStats,
+    cache_stats, pack_threads, parallel_threshold, plan_for, reset_cache_stats, PackPlan,
+    PlanCacheStats,
 };
 pub use darray::{DistArg, Distribution};
 pub use describe::{layout_eq, TypeMapEntry};

@@ -248,30 +248,30 @@ impl TypeNode {
                 }
             }
             Kind::Contiguous { count, child } => {
-                Self::build_blocky(&kind, &[(0i64, *count)], 1, child)?
+                Self::build_blocky(&kind, &[(0i64, *count)], child)?
             }
             Kind::Vector { count, blocklen, stride, child } => {
                 let ext = child.extent_i64();
                 let sb = cmul(*stride, ext)?;
                 let offs: Vec<(i64, u64)> =
                     (0..*count).map(|j| cmul(j as i64, sb).map(|o| (o, *blocklen))).collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_blocky(&kind, &offs, child)?
             }
             Kind::Hvector { count, blocklen, stride_bytes, child } => {
                 let offs: Vec<(i64, u64)> = (0..*count)
                     .map(|j| cmul(j as i64, *stride_bytes).map(|o| (o, *blocklen)))
                     .collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_blocky(&kind, &offs, child)?
             }
             Kind::Indexed { blocks, child } => {
                 let ext = child.extent_i64();
                 let offs: Vec<(i64, u64)> =
                     blocks.iter().map(|&(bl, d)| cmul(d, ext).map(|o| (o, bl))).collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_blocky(&kind, &offs, child)?
             }
             Kind::Hindexed { blocks, child } => {
                 let offs: Vec<(i64, u64)> = blocks.iter().map(|&(bl, d)| (d, bl)).collect();
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_blocky(&kind, &offs, child)?
             }
             Kind::IndexedBlock { blocklen, displacements, child } => {
                 let ext = child.extent_i64();
@@ -279,7 +279,7 @@ impl TypeNode {
                     .iter()
                     .map(|&d| cmul(d, ext).map(|o| (o, *blocklen)))
                     .collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, 1, child)?
+                Self::build_blocky(&kind, &offs, child)?
             }
             Kind::Struct { fields } => Self::build_struct(&kind, fields)?,
             Kind::Subarray { sizes, subsizes, starts, order, child } => {
@@ -314,7 +314,7 @@ impl TypeNode {
     ///
     /// `offsets` holds `(byte_offset_of_block, blocklen)` pairs in typemap
     /// order; within a block, child instances tile by the child extent.
-    fn build_blocky(kind: &Kind, offsets: &[(i64, u64)], _reserved: u64, child: &Datatype) -> Result<TypeNode> {
+    fn build_blocky(kind: &Kind, offsets: &[(i64, u64)], child: &Datatype) -> Result<TypeNode> {
         if child.extent_i64() < 0 {
             return Err(DatatypeError::NegativeExtentChild);
         }

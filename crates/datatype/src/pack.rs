@@ -3,12 +3,13 @@
 //! Converts between a user buffer laid out according to a datatype and a
 //! contiguous packed representation, exactly as `MPI_Pack`/`MPI_Unpack`
 //! (and the internals of any MPI implementation sending a derived type)
-//! must. Three code paths, selected automatically:
+//! must. Two engines:
 //!
-//! 1. **contiguous** — one `memcpy` when the type is a dense run;
-//! 2. **strided** — a tight fixed-blocklength loop for vector-like types
-//!    (including 2-D subarrays), the case the paper benchmarks;
-//! 3. **generic** — streaming segment iteration for arbitrary trees.
+//! 1. **compiled plan** — committed types run the cached [`crate::plan`]
+//!    kernel program, the only fast engine;
+//! 2. **segment walk** — uncommitted and unplannable types stream the
+//!    coalesced [`SegIter`] segments one copy at a time. The walk is also
+//!    the reference the plan is tested against.
 //!
 //! All offsets are validated against the user buffer; packing never reads
 //! and unpacking never writes out of bounds.
@@ -155,114 +156,32 @@ fn check_block(origin: usize, b: Block, buf_len: usize) -> Result<(usize, usize)
     Ok((from as usize, to as usize))
 }
 
-/// Copy one strided instance user->packed. Small fixed block lengths get
-/// dedicated loops so the compiler emits straight-line copies.
-fn pack_strided(src: &[u8], origin: usize, s: Strided, dst: &mut [u8]) -> Result<usize> {
-    let total = (s.nblocks * s.block_len) as usize;
-    if dst.len() < total {
-        return Err(DatatypeError::BufferTooSmall { needed: total, available: dst.len() });
+/// The bytes `[lo, hi)` that `count` instances of `dtype` touch, relative
+/// to the origin of instance 0; `None` when they touch none.
+pub fn user_span(dtype: &Datatype, count: usize) -> Option<(i128, i128)> {
+    if count == 0 || dtype.size() == 0 {
+        return None;
     }
-    if s.nblocks == 0 || s.block_len == 0 {
-        return Ok(0);
-    }
-    // Validate the first and last block; interior blocks are between them
-    // for monotone strides, and validated individually otherwise.
-    let bl = s.block_len as usize;
-    let monotone = s.stride >= s.block_len as i64 || s.nblocks == 1;
-    if monotone {
-        check_block(origin, Block { offset: s.base, len: s.block_len }, src.len())?;
-        check_block(
-            origin,
-            Block { offset: s.base + (s.nblocks as i64 - 1) * s.stride, len: s.block_len },
-            src.len(),
-        )?;
-        let start = (origin as i64 + s.base) as usize;
-        let stride = s.stride as usize;
-        match bl {
-            4 => strided_copy_fixed::<4>(src, start, stride, s.nblocks as usize, dst),
-            8 => strided_copy_fixed::<8>(src, start, stride, s.nblocks as usize, dst),
-            16 => strided_copy_fixed::<16>(src, start, stride, s.nblocks as usize, dst),
-            _ => {
-                for j in 0..s.nblocks as usize {
-                    let off = start + j * stride;
-                    dst[j * bl..(j + 1) * bl].copy_from_slice(&src[off..off + bl]);
-                }
-            }
-        }
-    } else {
-        for j in 0..s.nblocks as usize {
-            let b = Block { offset: s.base + j as i64 * s.stride, len: s.block_len };
-            let (from, to) = check_block(origin, b, src.len())?;
-            dst[j * bl..(j + 1) * bl].copy_from_slice(&src[from..to]);
-        }
-    }
-    Ok(total)
+    let shift = (count as i128 - 1) * dtype.extent_i64() as i128;
+    Some((dtype.true_lb() as i128 + shift.min(0), dtype.true_ub() as i128 + shift.max(0)))
 }
 
-fn strided_copy_fixed<const BL: usize>(
-    src: &[u8],
-    start: usize,
-    stride: usize,
-    nblocks: usize,
-    dst: &mut [u8],
-) {
-    for (j, out) in dst[..nblocks * BL].chunks_exact_mut(BL).enumerate() {
-        let off = start + j * stride;
-        out.copy_from_slice(&src[off..off + BL]);
+/// Check that a [`user_span`] placed at `origin` lies inside a buffer of
+/// `buf_len` bytes: the one aggregate bound check that the compiled plan,
+/// the send route and the iovec scatter share, so every datapath reports
+/// the same `OutOfBounds`.
+pub fn check_span(origin: usize, span: Option<(i128, i128)>, buf_len: usize) -> Result<()> {
+    let Some((lo, hi)) = span else { return Ok(()) };
+    let from = origin as i128 + lo;
+    let to = origin as i128 + hi;
+    if from < 0 || to < from || to > buf_len as i128 {
+        return Err(DatatypeError::OutOfBounds {
+            needed_from: from.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
+            needed_to: to.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
+            buffer_len: buf_len,
+        });
     }
-}
-
-fn unpack_strided_mut(dst: &mut [u8], origin: usize, s: Strided, packed: &[u8]) -> Result<usize> {
-    let total = (s.nblocks * s.block_len) as usize;
-    if packed.len() < total {
-        return Err(DatatypeError::BufferTooSmall { needed: total, available: packed.len() });
-    }
-    if s.nblocks == 0 || s.block_len == 0 {
-        return Ok(0);
-    }
-    let bl = s.block_len as usize;
-    let monotone = s.stride >= s.block_len as i64 || s.nblocks == 1;
-    if monotone {
-        check_block(origin, Block { offset: s.base, len: s.block_len }, dst.len())?;
-        check_block(
-            origin,
-            Block { offset: s.base + (s.nblocks as i64 - 1) * s.stride, len: s.block_len },
-            dst.len(),
-        )?;
-        let start = (origin as i64 + s.base) as usize;
-        let stride = s.stride as usize;
-        match bl {
-            4 => strided_scatter_fixed::<4>(dst, start, stride, s.nblocks as usize, packed),
-            8 => strided_scatter_fixed::<8>(dst, start, stride, s.nblocks as usize, packed),
-            16 => strided_scatter_fixed::<16>(dst, start, stride, s.nblocks as usize, packed),
-            _ => {
-                for j in 0..s.nblocks as usize {
-                    let off = start + j * stride;
-                    dst[off..off + bl].copy_from_slice(&packed[j * bl..(j + 1) * bl]);
-                }
-            }
-        }
-    } else {
-        for j in 0..s.nblocks as usize {
-            let b = Block { offset: s.base + j as i64 * s.stride, len: s.block_len };
-            let (from, to) = check_block(origin, b, dst.len())?;
-            dst[from..to].copy_from_slice(&packed[j * bl..(j + 1) * bl]);
-        }
-    }
-    Ok(total)
-}
-
-fn strided_scatter_fixed<const BL: usize>(
-    dst: &mut [u8],
-    start: usize,
-    stride: usize,
-    nblocks: usize,
-    packed: &[u8],
-) {
-    for (j, input) in packed[..nblocks * BL].chunks_exact(BL).enumerate() {
-        let off = start + j * stride;
-        dst[off..off + BL].copy_from_slice(input);
-    }
+    Ok(())
 }
 
 /// Pack `count` instances of `dtype` read from `src` (instance 0 origin at
@@ -285,27 +204,10 @@ pub fn pack_into(
     pack_into_uncompiled(src, origin, dtype, count, dst)
 }
 
-/// Pack with the compiled plan pinned to a single worker — the serial
-/// kernel the runtime degrades to when a parallel pack worker fails.
-/// Bypasses the size-threshold auto-parallelization of [`pack_into`];
-/// types without a compiled plan use the uncompiled interpreter, which
-/// is serial anyway.
-pub fn pack_into_serial(
-    src: &[u8],
-    origin: usize,
-    dtype: &Datatype,
-    count: usize,
-    dst: &mut [u8],
-) -> Result<usize> {
-    if let Some(plan) = crate::plan::plan_for(dtype, count) {
-        return plan.pack_into_with(src, origin, dst, 1);
-    }
-    pack_into_uncompiled(src, origin, dtype, count, dst)
-}
-
-/// The uncompiled reference engine: selects the contiguous / strided /
-/// generic path per call without consulting the plan cache. Kept public
-/// for benches and differential tests against the compiled engine.
+/// The segment walk: pack by copying the coalesced [`SegIter`] segments
+/// one at a time, checking each against `src`, without consulting the
+/// plan cache. The reference the compiled plan is tested against, and
+/// the engine for uncommitted types.
 pub fn pack_into_uncompiled(
     src: &[u8],
     origin: usize,
@@ -317,53 +219,6 @@ pub fn pack_into_uncompiled(
     if dst.len() < total {
         return Err(DatatypeError::BufferTooSmall { needed: total, available: dst.len() });
     }
-    if total == 0 {
-        return Ok(0);
-    }
-    // Path 1: fully contiguous run.
-    if dtype.is_contiguous_run(count as u64) {
-        let b = dtype.dense_block().expect("contiguous run implies dense");
-        let from = origin as i64 + b.offset;
-        let end = from + total as i64;
-        if from < 0 || end as u64 > src.len() as u64 {
-            return Err(DatatypeError::OutOfBounds {
-                needed_from: from,
-                needed_to: end,
-                buffer_len: src.len(),
-            });
-        }
-        dst[..total].copy_from_slice(&src[from as usize..end as usize]);
-        return Ok(total);
-    }
-    // Path 2: strided instances.
-    if let Some(s) = strided_form(dtype) {
-        let inst = dtype.size() as usize;
-        let ext = dtype.extent_i64();
-        let mut written = 0;
-        for i in 0..count {
-            let s_i = Strided { base: s.base + i as i64 * ext, ..s };
-            written += pack_strided(src, origin, s_i, &mut dst[i * inst..(i + 1) * inst])?;
-        }
-        return Ok(written);
-    }
-    // Path 3a: committed types with a materialized segment list — iterate
-    // the flat slice (per instance) instead of running the frame machine.
-    if let Some(flat) = dtype.flattened() {
-        let ext = dtype.extent_i64();
-        let mut pos = 0usize;
-        for i in 0..count as i64 {
-            let shift = i * ext;
-            for b in flat.iter() {
-                let b = Block { offset: b.offset + shift, len: b.len };
-                let (from, to) = check_block(origin, b, src.len())?;
-                dst[pos..pos + b.len as usize].copy_from_slice(&src[from..to]);
-                pos += b.len as usize;
-            }
-        }
-        debug_assert_eq!(pos, total);
-        return Ok(pos);
-    }
-    // Path 3b: streaming segment walk.
     let mut pos = 0usize;
     for b in SegIter::new(dtype, count as u64) {
         let (from, to) = check_block(origin, b, src.len())?;
@@ -391,7 +246,7 @@ pub fn unpack_from(
     unpack_from_uncompiled(packed, dtype, count, dst, origin)
 }
 
-/// Uncompiled reference unpack; counterpart of [`pack_into_uncompiled`].
+/// The segment-walk unpack; counterpart of [`pack_into_uncompiled`].
 pub fn unpack_from_uncompiled(
     packed: &[u8],
     dtype: &Datatype,
@@ -403,64 +258,10 @@ pub fn unpack_from_uncompiled(
     if packed.len() < total {
         return Err(DatatypeError::BufferTooSmall { needed: total, available: packed.len() });
     }
-    if total == 0 {
-        return Ok(0);
-    }
-    if dtype.is_contiguous_run(count as u64) {
-        let b = dtype.dense_block().expect("contiguous run implies dense");
-        let from = origin as i64 + b.offset;
-        let end = from + total as i64;
-        if from < 0 || end as u64 > dst.len() as u64 {
-            return Err(DatatypeError::OutOfBounds {
-                needed_from: from,
-                needed_to: end,
-                buffer_len: dst.len(),
-            });
-        }
-        dst[from as usize..end as usize].copy_from_slice(&packed[..total]);
-        return Ok(total);
-    }
-    if let Some(s) = strided_form(dtype) {
-        let inst = dtype.size() as usize;
-        let ext = dtype.extent_i64();
-        let mut consumed = 0;
-        for i in 0..count {
-            let s_i = Strided { base: s.base + i as i64 * ext, ..s };
-            consumed += unpack_strided_mut(dst, origin, s_i, &packed[i * inst..(i + 1) * inst])?;
-        }
-        return Ok(consumed);
-    }
-    if let Some(flat) = dtype.flattened() {
-        let ext = dtype.extent_i64();
-        let mut pos = 0usize;
-        for i in 0..count as i64 {
-            let shift = i * ext;
-            for b in flat.iter() {
-                let from = origin as i64 + b.offset + shift;
-                let to = from + b.len as i64;
-                if from < 0 || to as u64 > dst.len() as u64 {
-                    return Err(DatatypeError::OutOfBounds {
-                        needed_from: from,
-                        needed_to: to,
-                        buffer_len: dst.len(),
-                    });
-                }
-                dst[from as usize..to as usize]
-                    .copy_from_slice(&packed[pos..pos + b.len as usize]);
-                pos += b.len as usize;
-            }
-        }
-        debug_assert_eq!(pos, total);
-        return Ok(pos);
-    }
     let mut pos = 0usize;
     for b in SegIter::new(dtype, count as u64) {
-        let from = origin as i64 + b.offset;
-        let to = from + b.len as i64;
-        if from < 0 || to as u64 > dst.len() as u64 {
-            return Err(DatatypeError::OutOfBounds { needed_from: from, needed_to: to, buffer_len: dst.len() });
-        }
-        dst[from as usize..to as usize].copy_from_slice(&packed[pos..pos + b.len as usize]);
+        let (from, to) = check_block(origin, b, dst.len())?;
+        dst[from..to].copy_from_slice(&packed[pos..pos + b.len as usize]);
         pos += b.len as usize;
     }
     debug_assert_eq!(pos, total);
@@ -542,22 +343,20 @@ mod tests {
     }
 
     #[test]
-    fn pack_into_serial_matches_default_engine() {
-        let src = f64s(64);
-        let d = Datatype::vector(16, 1, 2, &Datatype::f64()).unwrap().commit();
-        let mut fast = vec![0u8; 16 * 8 * 2];
-        let mut serial = vec![0u8; 16 * 8 * 2];
-        let a = pack_into(&src, 0, &d, 2, &mut fast).unwrap();
-        let b = pack_into_serial(&src, 0, &d, 2, &mut serial).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(fast, serial);
-        // Uncommitted types have no compiled plan; the serial entry point
-        // must still pack them (via the uncompiled interpreter).
-        let raw = Datatype::vector(16, 1, 2, &Datatype::f64()).unwrap();
-        let mut uncompiled = vec![0u8; 16 * 8 * 2];
-        let c = pack_into_serial(&src, 0, &raw, 2, &mut uncompiled).unwrap();
-        assert_eq!(c, a);
-        assert_eq!(uncompiled, fast);
+    fn span_check_agrees_with_plan() {
+        let src = f64s(4);
+        for count in 1..3 {
+            let d = Datatype::vector(4, 1, 2, &Datatype::f64()).unwrap().commit();
+            let mut dst = vec![0u8; 64];
+            let plan = pack_into(&src, 8, &d, count, &mut dst).unwrap_err();
+            let span = check_span(8, user_span(&d, count), src.len()).unwrap_err();
+            assert_eq!(plan, span);
+        }
+        let neg = Datatype::vector(3, 1, -2, &Datatype::f64()).unwrap();
+        assert_eq!(user_span(&neg, 1), Some((-32, 8)));
+        assert!(check_span(32, user_span(&neg, 1), 40).is_ok());
+        assert!(check_span(0, user_span(&neg, 1), 40).is_err());
+        assert!(check_span(usize::MAX, None, 0).is_ok());
     }
 
     #[test]
@@ -707,7 +506,7 @@ mod tests {
 
     #[test]
     fn subarray_pack_matches_generic() {
-        // strided path vs generic path must agree
+        // the compiled plan and a hand-rolled segment copy must agree
         let src = f64s(64);
         let d = Datatype::subarray(&[8, 8], &[5, 3], &[2, 4], ArrayOrder::C, &Datatype::f64())
             .unwrap()

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::error::{DatatypeError, Result};
 use crate::kernels::{self, Exec, RecordField, RecordKernel, SimdTier};
 use crate::node::Datatype;
-use crate::pack::{strided_form, Strided};
+use crate::pack::{check_span, strided_form, Strided};
 use crate::segiter::SegIter;
 
 /// Compilation bails out (falling back to the uncompiled engine) once a
@@ -389,20 +389,11 @@ impl PackPlan {
     /// Validate that every byte the plan touches lies inside the user
     /// buffer, in one aggregate check instead of per-segment checks.
     fn validate_user(&self, buf_len: usize, origin: usize) -> Result<()> {
-        if self.packed_len() == 0 {
-            return Ok(());
-        }
-        let o = origin as i128;
-        let from = o + self.user_lo as i128;
-        let to = o + self.user_hi as i128 + (self.count as i128 - 1) * self.extent as i128;
-        if from < 0 || to < from || to > buf_len as i128 {
-            return Err(DatatypeError::OutOfBounds {
-                needed_from: from.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
-                needed_to: to.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
-                buffer_len: buf_len,
-            });
-        }
-        Ok(())
+        let span = (self.packed_len() > 0).then(|| {
+            let shift = (self.count as i128 - 1) * self.extent as i128;
+            (self.user_lo as i128, self.user_hi as i128 + shift)
+        });
+        check_span(origin, span, buf_len)
     }
 
     /// Pack into `dst`, parallelizing above [`parallel_threshold`].
@@ -1197,12 +1188,6 @@ pub fn reset_cache_stats() {
     c.compile_nanos = 0;
 }
 
-/// Snapshot the plan-cache counters (alias of [`cache_stats`], kept for
-/// existing callers).
-pub fn plan_cache_stats() -> PlanCacheStats {
-    cache_stats()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1376,11 +1361,11 @@ mod tests {
     fn cache_is_bounded_and_hits_on_reuse() {
         let _g = stats_lock().lock().unwrap();
         let d = Datatype::vector(4, 1, 2, &Datatype::f64()).unwrap().commit();
-        let before = plan_cache_stats();
+        let before = cache_stats();
         let a = plan_for(&d, 1).expect("plannable");
         let b = plan_for(&d, 1).expect("plannable");
         assert!(Arc::ptr_eq(&a, &b));
-        let after = plan_cache_stats();
+        let after = cache_stats();
         assert!(after.hits > before.hits);
         // flood with distinct types; the cache must stay bounded
         for i in 0..(PLAN_CACHE_CAP + 40) {
@@ -1389,7 +1374,7 @@ mod tests {
                 .commit();
             let _ = plan_for(&t, 1);
         }
-        assert!(plan_cache_stats().size <= PLAN_CACHE_CAP);
+        assert!(cache_stats().size <= PLAN_CACHE_CAP);
     }
 
     #[test]

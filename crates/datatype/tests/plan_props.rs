@@ -5,8 +5,8 @@
 //! parallel threshold is effectively one byte).
 
 use nonctg_datatype::{
-    pack_into_uncompiled, pack_size, unpack_from_uncompiled, ArrayOrder, Datatype, PackPlan,
-    Primitive,
+    check_span, pack_into_uncompiled, pack_size, unpack_from_uncompiled, user_span, ArrayOrder,
+    Datatype, PackPlan, Primitive,
 };
 use proptest::prelude::*;
 
@@ -141,5 +141,23 @@ proptest! {
         let mut ref_dst = vec![0u8; len];
         unpack_from_uncompiled(&packed, &d, count, &mut ref_dst, origin).unwrap();
         prop_assert_eq!(&dst, &ref_dst);
+    }
+
+    /// The span check the send route and the iovec scatter make from the
+    /// type alone agrees with the compiled plan's own bound check at the
+    /// exact boundary: a buffer of `hi` bytes packs, one byte less is the
+    /// same `OutOfBounds` from both.
+    #[test]
+    fn user_span_matches_plan_bounds(d in arb_datatype(), count in 1usize..3) {
+        let plan = PackPlan::compile(&d, count).expect("generated trees are plannable");
+        let (lo, hi) = user_span(&d, count).expect("generated trees carry data");
+        let origin = (-lo).max(0) as usize;
+        let len = (origin as i128 + hi) as usize;
+        let src = vec![7u8; len];
+        let mut out = vec![0u8; plan.packed_len()];
+        prop_assert!(plan.pack_into_with(&src, origin, &mut out, 1).is_ok());
+        prop_assert!(check_span(origin, Some((lo, hi)), len).is_ok());
+        let plan_err = plan.pack_into_with(&src[..len - 1], origin, &mut out, 1).unwrap_err();
+        prop_assert_eq!(plan_err, check_span(origin, Some((lo, hi)), len - 1).unwrap_err());
     }
 }
