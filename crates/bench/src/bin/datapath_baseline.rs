@@ -3,8 +3,8 @@
 //!
 //! Three experiments. The first two compare wall-clock with virtual-time
 //! output proven identical elsewhere (`chunk_props`,
-//! `sharded_sweep_matches_sequential_bit_for_bit`); the third calibrates
-//! the adaptive engine selector against the model:
+//! `sharded_sweep_matches_sequential_bit_for_bit`); the third checks the
+//! adaptive engine selector against measured virtual time:
 //!
 //! 1. A 2^27-byte strided-vector ping-pong, monolithic vs. chunked
 //!    rendezvous — the chunked path overlaps sender-side packing of chunk
@@ -14,10 +14,9 @@
 //! 3. Per-platform pack-vs-iovec virtual-time crossover: a 900-region
 //!    rendezvous send at increasing region lengths, forced through each
 //!    engine, locating the region size where zero-copy iovec overtakes
-//!    the staged pack. The selector's seeded `CrossoverTable` must agree
-//!    with the measured winner at every decisive point (the run aborts
-//!    if it doesn't), and the measured crossover is recorded so a drift
-//!    of the cost model away from the seeded tables is visible.
+//!    the staged pack. The engine auto mode selects must be the measured
+//!    winner at every probed point (the run aborts if it isn't), however
+//!    close the two engines are.
 //!
 //! Speedups in 1–2 depend on host parallelism: with a single hardware
 //! thread the overlap cannot pay and the recorded ratio hovers near (or
@@ -28,7 +27,6 @@
 
 use std::time::Instant;
 
-use nonctg_core::selector::CrossoverTable;
 use nonctg_core::Universe;
 use nonctg_datatype::{as_bytes, Datatype};
 use nonctg_schemes::{run_sweep, run_sweep_sharded, PingPongConfig, Scheme, SweepConfig};
@@ -40,11 +38,8 @@ const SWEEP_SHARDS: usize = 4;
 /// enough that every probed length is a rendezvous message everywhere.
 const XOVER_REGIONS: usize = 900;
 /// Region lengths (bytes) the crossover probe visits, straddling every
-/// platform's seeded `iov_min_region_bytes`.
-const XOVER_LENS: [usize; 8] = [96, 128, 160, 192, 256, 512, 1024, 4096];
-/// Points whose engines differ by less than this are considered a tie
-/// for the agreement check (the crossover itself is a near-tie).
-const XOVER_TIE: f64 = 0.10;
+/// platform's crossover.
+const XOVER_LENS: [usize; 9] = [96, 128, 160, 176, 192, 256, 512, 1024, 4096];
 
 /// Wall seconds for `reps` strided rendezvous pings in one universe.
 fn pingpong_wall(platform: &Platform, bytes: usize, reps: usize) -> f64 {
@@ -76,14 +71,19 @@ fn best_of_two(mut f: impl FnMut() -> f64) -> f64 {
     f().min(f())
 }
 
+/// The probe's byte vector: `count` regions of `region` bytes at a
+/// stride of twice the region.
+fn probe_type(count: usize, region: usize) -> Datatype {
+    Datatype::vector(count, region, 2 * region as i64, &Datatype::byte()).unwrap().commit()
+}
+
 /// Virtual seconds (max over ranks) of one strided byte-vector send
 /// 0 → 1 with the given forced engine, jitter-free.
 fn strided_virtual(platform: &Platform, engine: Datapath, count: usize, region: usize) -> f64 {
     let mut p = platform.clone().with_datapath(engine);
     p.jitter_sigma = 0.0;
-    let stride = 2 * region;
-    let src_len = (count - 1) * stride + region;
-    let t = Datatype::vector(count, region, stride as i64, &Datatype::byte()).unwrap().commit();
+    let src_len = (count - 1) * 2 * region + region;
+    let t = probe_type(count, region);
     let (a, b) = Universe::run_pair(p, move |comm| {
         if comm.rank() == 0 {
             let src: Vec<u8> = vec![0x5A; src_len];
@@ -106,7 +106,7 @@ struct XoverPoint {
 }
 
 /// Experiment 3 for one platform: probe the pack/iovec crossover, check
-/// the selector agrees with every decisive measurement, and return the
+/// auto mode selects the measured winner at every point, and return the
 /// probed points plus the measured crossover region length (first length
 /// where iovec wins; 0 if it never does).
 fn crossover_probe(platform: &Platform) -> (Vec<XoverPoint>, usize) {
@@ -115,25 +115,21 @@ fn crossover_probe(platform: &Platform) -> (Vec<XoverPoint>, usize) {
     for &region in &XOVER_LENS {
         let pack_s = strided_virtual(platform, Datapath::Pack, XOVER_REGIONS, region);
         let iov_s = strided_virtual(platform, Datapath::Iov, XOVER_REGIONS, region);
-        let bytes = (XOVER_REGIONS * region) as u64;
-        let selected =
-            nonctg_core::selector::choose(platform.id, bytes, Some(XOVER_REGIONS as u64));
+        let selected = nonctg_core::send_engine(platform, &probe_type(XOVER_REGIONS, region), 1)
+            .expect("probe size");
         if measured == 0 && iov_s < pack_s {
             measured = region;
         }
-        let gap = (pack_s - iov_s).abs() / pack_s.min(iov_s);
-        if gap > XOVER_TIE {
-            let winner = if iov_s < pack_s { Datapath::Iov } else { Datapath::Pack };
-            assert_eq!(
-                selected,
-                winner,
-                "{}: selector picked {} but {} wins at region={region} \
-                 (pack {pack_s:.3e}s, iov {iov_s:.3e}s)",
-                platform.id.name(),
-                selected.name(),
-                winner.name(),
-            );
-        }
+        let winner = if iov_s < pack_s { Datapath::Iov } else { Datapath::Pack };
+        assert_eq!(
+            selected,
+            winner,
+            "{}: selector picked {} but {} wins at region={region} \
+             (pack {pack_s:.3e}s, iov {iov_s:.3e}s)",
+            platform.id.name(),
+            selected.name(),
+            winner.name(),
+        );
         points.push(XoverPoint { region, pack_s, iov_s, selected });
     }
     (points, measured)
@@ -201,23 +197,8 @@ fn main() {
     // -- experiment 3: pack vs iovec crossover, every platform --------
     let mut xover_json = String::new();
     for p in Platform::all() {
-        let seeded = CrossoverTable::seeded(p.id);
         let (points, measured) = crossover_probe(&p);
-        println!(
-            "{}: iovec overtakes pack at region >= {} bytes (seeded crossover {})",
-            p.id.name(),
-            measured,
-            seeded.iov_min_region_bytes
-        );
-        // The seeded table was calibrated from this very probe; a model
-        // change that moves the crossover past this band must re-seed.
-        assert!(
-            measured as u64 >= seeded.iov_min_region_bytes / 2
-                && measured as u64 <= seeded.iov_min_region_bytes * 2,
-            "{}: measured crossover {measured} drifted from seeded {}",
-            p.id.name(),
-            seeded.iov_min_region_bytes
-        );
+        println!("{}: iovec overtakes pack at region >= {measured} bytes", p.id.name());
         let rows: Vec<String> = points
             .iter()
             .map(|x| {
@@ -236,15 +217,14 @@ fn main() {
         }
         xover_json.push_str(&format!(
             "    {{\"platform\": \"{}\", \"regions\": {XOVER_REGIONS}, \
-             \"seeded_min_region_bytes\": {}, \"measured_crossover_bytes\": {}, \
+             \"measured_crossover_bytes\": {}, \
              \"selector_agrees\": true, \"points\": [\n{}\n    ]}}",
             p.id.name(),
-            seeded.iov_min_region_bytes,
             measured,
             rows.join(",\n")
         ));
     }
-    println!("selector agrees with measured winner at every decisive point: ok");
+    println!("selector picks the measured winner at every probed point: ok");
 
     let json = format!(
         "{{\n  \"bench\": \"datapath_baseline\",\n  \"host_threads\": {host_threads},\n  \

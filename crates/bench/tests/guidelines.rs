@@ -14,7 +14,9 @@
 //! assert exactly that, plus that doctoring either side is detected.
 
 use nonctg_bench::{guideline_violations, guidelines_csv, GUIDELINE_TOL};
-use nonctg_schemes::{run_sweep, PingPongConfig, Scheme, Sweep, SweepConfig};
+use nonctg_schemes::{
+    run_kernel_sweep, run_sweep, AppKernel, PingPongConfig, Scheme, Sweep, SweepConfig,
+};
 use nonctg_simnet::{Datapath, Platform, PlatformId};
 
 /// A jitter-free platform so guideline ratios are exact model outputs.
@@ -115,24 +117,37 @@ fn checker_catches_the_cray_packed_eager_window() {
 
 #[test]
 fn auto_selector_adds_no_violations_over_forced_pack() {
+    // The paper's sweep plus every ddtbench kernel, small sizes that
+    // still reach past each platform's eager limit.
+    let kernel_cfg = SweepConfig { min_bytes: 4 << 10, max_bytes: 256 << 10, ..cfg() };
+    let sweeps = |p: &Platform| {
+        let mut v = vec![("paper".to_string(), run_sweep(p, &cfg()))];
+        v.extend(AppKernel::ALL.map(|k| (k.to_string(), run_kernel_sweep(p, k, &kernel_cfg))));
+        v
+    };
+    let key = |s: &Sweep| {
+        let mut v: Vec<(String, usize)> = guideline_violations(s, GUIDELINE_TOL)
+            .into_iter()
+            .map(|g| (g.guideline.to_string(), g.msg_bytes))
+            .collect();
+        v.sort();
+        v
+    };
+    let mut iov_points = 0;
     for id in PlatformId::ALL {
-        let auto = run_sweep(&quiet(id), &cfg());
-        let pack = run_sweep(&quiet(id).with_datapath(Datapath::Pack), &cfg());
-        let key = |s: &Sweep| {
-            let mut v: Vec<(String, usize)> = guideline_violations(s, GUIDELINE_TOL)
-                .into_iter()
-                .map(|g| (g.guideline.to_string(), g.msg_bytes))
-                .collect();
-            v.sort();
-            v
-        };
-        let auto_v = key(&auto);
-        let pack_v = key(&pack);
-        assert!(
-            auto_v.iter().all(|v| pack_v.contains(v)),
-            "{id:?}: auto selection added violations: auto={auto_v:?} pack={pack_v:?}"
-        );
+        let auto = sweeps(&quiet(id));
+        let pack = sweeps(&quiet(id).with_datapath(Datapath::Pack));
+        for ((name, auto), (_, pack)) in auto.iter().zip(&pack) {
+            iov_points += auto.points.iter().filter(|p| p.selected == Datapath::Iov).count();
+            let auto_v = key(auto);
+            let pack_v = key(pack);
+            assert!(
+                auto_v.iter().all(|v| pack_v.contains(v)),
+                "{id:?} {name}: auto selection added violations: auto={auto_v:?} pack={pack_v:?}"
+            );
+        }
     }
+    assert!(iov_points > 0, "no auto sweep ever selected iovec");
 }
 
 #[test]

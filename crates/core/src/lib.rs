@@ -59,9 +59,10 @@ pub use nonblocking::{RecvRequest, SendRequest};
 pub use persistent::{PersistentRecv, PersistentSend};
 pub use p2p::{RecvStatus, BSEND_OVERHEAD_BYTES, CHUNK_RING_DEPTH, MAX_SEND_ATTEMPTS};
 pub use rma::{Window, WindowState};
+pub use route::send_engine;
 pub use selector::{
-    iov_max_regions, reset_selector_counters, selector_counters, CrossoverTable, RegionShape,
-    SelectorCounters, DEFAULT_IOV_MAX_REGIONS,
+    iov_max_regions, reset_selector_counters, selector_counters, RegionShape, SelectorCounters,
+    DEFAULT_IOV_MAX_REGIONS,
 };
 pub use trace::{EventKind, TraceConfig, TraceEvent, TraceStats};
 pub use universe::Universe;

@@ -19,14 +19,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError};
-use nonctg_datatype::{self as dt, Datatype, PackPlan, Primitive, Scalar};
+use nonctg_datatype::{self as dt, Datatype, PackPlan, Scalar};
 use nonctg_simnet::{Access, Platform};
 
 use crate::comm::{CacheState, Comm};
 use crate::error::{CoreError, Result};
 use crate::fabric::{poll_slice, reply_channel, Envelope, OpRecord, Payload, PooledBuf, Protocol};
 use crate::nonblocking::{SendRequest, SendState};
-use crate::route::{self, BufferSource, FaultSite, Path, Regions, RouteInput, SendMode, Staging, Step};
+use crate::route::{self, BufferSource, FaultSite, Path, RouteInput, SendMode, Staging, Step};
 use crate::selector::RegionShape;
 
 /// Bytes of bookkeeping the attached buffer pays per buffered message
@@ -229,10 +229,10 @@ impl Comm {
     ) -> Result<SendRequest> {
         self.check_rank(dst)?;
         dtype.require_committed()?;
-        let bytes = dt::pack_size(dtype, count)? as u64;
-        let access = Access::classify(dtype);
-        let warm = self.is_warm();
         let p = self.platform().clone();
+        let mut input = RouteInput::new(&p, dtype, count, mode, may_stream, origin, buf.len())?;
+        let bytes = input.bytes;
+        let warm = self.is_warm();
 
         let me = self.world_rank();
         let sup = Arc::clone(&self.fabric().supervision);
@@ -243,23 +243,6 @@ impl Comm {
         let op = sup.next_op(me);
         let fault = p.fault.as_ref().map(|plan| FaultSite { plan, rank: me, op });
 
-        let is_packed = dtype.signature().count(Primitive::Packed) > 0;
-        let mut input = RouteInput {
-            mode,
-            bytes,
-            contiguous: matches!(access, Access::Contiguous),
-            eager_limit: p.eager_threshold(is_packed),
-            may_stream,
-            pipeline: p.effective_pipeline(),
-            stream_plan: false,
-            regions: Regions::Absent,
-            datapath: p.effective_datapath(),
-            platform: p.id,
-            parallel: route::parallel_pack(bytes),
-            origin,
-            buf_len: buf.len(),
-            span: dt::user_span(dtype, count),
-        };
         let stream_plan =
             if input.stream_candidate() { dt::plan_for(dtype, count) } else { None };
         input.stream_plan = stream_plan.is_some();
@@ -268,16 +251,7 @@ impl Comm {
                 panic!("fault plan: injected crash of rank {me} at op {op}");
             }
         }
-        let mut regions = None;
-        if input.iov_eligible(fault) {
-            if let Some(pl) = dt::plan_for(dtype, count) {
-                regions = pl.regions(crate::selector::iov_max_regions());
-                input.regions = match &regions {
-                    Some(r) => Regions::Bounded(RegionShape::of(r, p.mem.cacheline)),
-                    None => Regions::Capped,
-                };
-            }
-        }
+        let regions = input.lookup_regions(dtype, count, fault);
         let route = route::route(&input, fault)?;
 
         // Fault charges are exact (no jitter draws), so the virtual clock
@@ -321,7 +295,7 @@ impl Comm {
             Path::Chunked => {
                 let plan = stream_plan.expect("a chunked route has a compiled plan");
                 return self.stream_send(
-                    buf, origin, &plan, bytes, &access, warm, &p, dst, tag, sig, corrupt_idx, op,
+                    buf, origin, &plan, bytes, &input.access, warm, &p, dst, tag, sig, corrupt_idx, op,
                     route.buffer, route.staging == Staging::SerialPlan,
                 );
             }
@@ -370,7 +344,7 @@ impl Comm {
                 // Derived-type path: MPI gathers into its internal buffer
                 // (no overlap with the wire), then sends contiguously.
                 let t_stage = self.clock.now();
-                self.charge(p.staging_time(bytes, &access, warm));
+                self.charge(p.staging_time(bytes, &input.access, warm));
                 self.trace(crate::trace::EventKind::Stage, t_stage, None, bytes as usize, None);
                 self.charge_exact(p.send_overhead(eager));
                 self.cache = CacheState::Warm;
@@ -397,7 +371,7 @@ impl Comm {
                 // as the internal path (the user buffer does not avoid the
                 // large-message bookkeeping, §4.2)...
                 let t_stage = self.clock.now();
-                let stage = p.staging_time(bytes, &access, warm);
+                let stage = p.staging_time(bytes, &input.access, warm);
                 self.charge(stage);
                 // ...plus Bsend's own accounting and extra internal copy.
                 self.charge(p.bsend_extra(bytes));
@@ -639,7 +613,7 @@ impl Comm {
         corrupt_idx: Option<usize>,
     ) -> Result<SendRequest> {
         let n = regions.len() as u64;
-        let shape = crate::selector::RegionShape::of(&regions, p.mem.cacheline);
+        let shape = RegionShape::of(&regions, p.mem.cacheline);
         self.charge_exact(p.send_overhead(false));
         self.charge_exact(p.iov_overhead_shaped(n, shape.subline));
         self.cache = CacheState::Warm;
@@ -850,7 +824,7 @@ impl Comm {
         // `Some(shape)` once the payload was delivered by a direct iovec
         // scatter into the receiver's regions; governs the scatter charge
         // below (sub-cacheline regions pay the full descriptor cost).
-        let mut iov_scattered: Option<crate::selector::RegionShape> = None;
+        let mut iov_scattered: Option<RegionShape> = None;
         match env.payload {
             Payload::Whole(data) => {
                 let consumed = dt::unpack_from(&data, dtype, incoming_count, buf, origin)?;
@@ -901,7 +875,7 @@ impl Comm {
                             dtype.size() as usize,
                         );
                         iov_scattered =
-                            Some(crate::selector::RegionShape::of(&rr, p.mem.cacheline));
+                            Some(RegionShape::of(&rr, p.mem.cacheline));
                     }
                     None => {
                         let consumed =

@@ -1,18 +1,19 @@
 //! The send route: one pure decision per send.
 //!
 //! [`route`] turns what is known about a send before any byte moves —
-//! mode, size, contiguity, eager limit, streaming eligibility, compiled
+//! mode, size, layout, eager limit, streaming eligibility, compiled
 //! plan and region shape, the datapath in force, and the fault plan's
 //! decisions for this `(rank, op)` — into a [`SendRoute`]: the protocol
 //! path, the staging engine, the buffer source and the ordered rungs of
 //! the degradation ladder to count and trace. `Comm::send_impl` executes
-//! the route; `Comm::pack` shares its staging decision ([`staging`]).
+//! the route; `Comm::pack` shares its staging decision ([`staging`]);
+//! [`send_engine`] reports its engine choice to callers that record it.
 //!
 //! Every fault decision is a pure function of `(plan, rank, op)`, so a
 //! rerun of the same seed takes the same route.
 
-use nonctg_datatype::{self as dt, DatatypeError};
-use nonctg_simnet::{Datapath, FaultPlan, PipelineSpec, PlatformId, SendFault};
+use nonctg_datatype::{self as dt, Datatype, DatatypeError, Primitive};
+use nonctg_simnet::{Access, Datapath, FaultPlan, PipelineSpec, Platform, SendFault};
 
 use crate::fabric::FaultStats;
 use crate::p2p::{CHUNK_DEMOTE_THRESHOLD, MAX_SEND_ATTEMPTS};
@@ -55,12 +56,23 @@ pub(crate) enum Regions {
     Bounded(RegionShape),
 }
 
+impl Regions {
+    fn shape(self) -> Option<RegionShape> {
+        match self {
+            Regions::Bounded(s) => Some(s),
+            Regions::Absent | Regions::Capped => None,
+        }
+    }
+}
+
 /// Everything [`route`] decides from.
 #[derive(Debug, Clone)]
-pub(crate) struct RouteInput {
+pub(crate) struct RouteInput<'a> {
     pub mode: SendMode,
     /// Packed payload bytes.
     pub bytes: u64,
+    /// How the datatype walks user memory.
+    pub access: Access,
     pub contiguous: bool,
     /// Largest eager payload for this datatype.
     pub eager_limit: u64,
@@ -74,7 +86,8 @@ pub(crate) struct RouteInput {
     pub regions: Regions,
     /// The datapath in force (`Auto` consults the selector).
     pub datapath: Datapath,
-    pub platform: PlatformId,
+    /// The platform whose cost model prices the selector's choice.
+    pub platform: &'a Platform,
     /// Whether the pack would fan out to the parallel workers.
     pub parallel: bool,
     /// The user buffer: `origin`, its length, and the [`dt::user_span`]
@@ -84,7 +97,73 @@ pub(crate) struct RouteInput {
     pub span: Option<(i128, i128)>,
 }
 
-impl RouteInput {
+impl<'a> RouteInput<'a> {
+    /// What is known about a send of `count` x `dtype` on `p` before any
+    /// plan or region lookup, from a user buffer of `buf_len` bytes.
+    pub fn new(
+        p: &'a Platform,
+        dtype: &Datatype,
+        count: usize,
+        mode: SendMode,
+        may_stream: bool,
+        origin: usize,
+        buf_len: usize,
+    ) -> dt::Result<RouteInput<'a>> {
+        let bytes = dt::pack_size(dtype, count)? as u64;
+        let access = Access::classify(dtype);
+        let is_packed = dtype.signature().count(Primitive::Packed) > 0;
+        Ok(RouteInput {
+            mode,
+            bytes,
+            access,
+            contiguous: matches!(access, Access::Contiguous),
+            eager_limit: p.eager_threshold(is_packed),
+            may_stream,
+            pipeline: p.effective_pipeline(),
+            stream_plan: false,
+            regions: Regions::Absent,
+            datapath: p.effective_datapath(),
+            platform: p,
+            parallel: parallel_pack(bytes),
+            origin,
+            buf_len,
+            span: dt::user_span(dtype, count),
+        })
+    }
+
+    /// Look the region list up when the zero-copy path may be considered
+    /// ([`RouteInput::iov_eligible`]), record its shape, and return it
+    /// for the executor: `None` when ineligible, without a plan, or over
+    /// the [`selector::iov_max_regions`] cap.
+    pub fn lookup_regions(
+        &mut self,
+        dtype: &Datatype,
+        count: usize,
+        fault: Option<FaultSite>,
+    ) -> Option<Vec<(i64, u64)>> {
+        if !self.iov_eligible(fault) {
+            return None;
+        }
+        let regions = dt::plan_for(dtype, count)?.regions(selector::iov_max_regions());
+        self.regions = match &regions {
+            Some(r) => Regions::Bounded(RegionShape::of(r, self.platform.mem.cacheline)),
+            None => Regions::Capped,
+        };
+        regions
+    }
+
+    /// The engine for the send's non-contiguous bytes: the forced
+    /// datapath, or under `Auto` the selector's pick for the looked-up
+    /// region shape.
+    pub fn engine(&self) -> Datapath {
+        match self.datapath {
+            Datapath::Auto => {
+                selector::select(self.platform, self.bytes, &self.access, self.regions.shape())
+            }
+            forced => forced,
+        }
+    }
+
     fn eager(&self) -> bool {
         self.mode != SendMode::Synchronous && self.bytes <= self.eager_limit
     }
@@ -251,6 +330,17 @@ pub(crate) fn staging(
     }
 }
 
+/// The engine a standard blocking send of `count` x `dtype` takes for
+/// its non-contiguous bytes on `p` without faults: the forced datapath,
+/// or the selector's pick under the runtime's own eligibility rules
+/// (eager size, region cap). Pure in `(platform, dtype, count)`, so a
+/// sweep can record it per point.
+pub fn send_engine(p: &Platform, dtype: &Datatype, count: usize) -> dt::Result<Datapath> {
+    let mut i = RouteInput::new(p, dtype, count, SendMode::Standard, true, 0, 0)?;
+    i.lookup_regions(dtype, count, None);
+    Ok(i.engine())
+}
+
 /// Decide how one send moves its bytes. Pure in its inputs: the same
 /// input and `(plan, rank, op)` always give the same route.
 ///
@@ -310,18 +400,10 @@ pub(crate) fn route(i: &RouteInput, fault: Option<FaultSite>) -> Result<SendRout
         }
     }
     if !i.contiguous {
-        let choice = match i.datapath {
-            Datapath::Auto => {
-                let shape = match i.regions {
-                    Regions::Bounded(s) => Some(s),
-                    _ => None,
-                };
-                let c = selector::choose_shape(i.platform, i.bytes, shape);
-                r.steps.push(Step::Select(c));
-                c
-            }
-            forced => forced,
-        };
+        let choice = i.engine();
+        if i.datapath == Datapath::Auto {
+            r.steps.push(Step::Select(choice));
+        }
         match (choice, i.regions) {
             // With its staging pool gone or its gather workers failing,
             // the zero-copy path demotes to the pack plan.
@@ -359,12 +441,15 @@ mod tests {
 
     const MIB: u64 = 1 << 20;
 
+    static SKX: std::sync::LazyLock<Platform> = std::sync::LazyLock::new(Platform::skx_impi);
+
     /// A 1 MiB non-contiguous standard rendezvous with a bounded list of
     /// 128 long regions, below the streaming threshold.
-    fn input(datapath: Datapath) -> RouteInput {
+    fn input(datapath: Datapath) -> RouteInput<'static> {
         RouteInput {
             mode: SendMode::Standard,
             bytes: MIB,
+            access: Access::Strided { blocklen: 8192, stride: 16384 },
             contiguous: false,
             eager_limit: 64 << 10,
             may_stream: true,
@@ -373,9 +458,9 @@ mod tests {
                 chunk_bytes: MIB,
             },
             stream_plan: true,
-            regions: Regions::Bounded(RegionShape::uniform(128)),
+            regions: Regions::Bounded(RegionShape { n: 128, subline: 0 }),
             datapath,
-            platform: PlatformId::SkxImpi,
+            platform: &SKX,
             parallel: true,
             origin: 0,
             buf_len: 2 * MIB as usize,
@@ -421,10 +506,15 @@ mod tests {
             (Path::Rendezvous, Staging::Walk, Pooled)
         );
         let auto = clean(&input(Datapath::Auto));
-        let chosen =
-            selector::choose_shape(PlatformId::SkxImpi, MIB, Some(RegionShape::uniform(128)));
-        assert_eq!(auto.steps, vec![Step::Select(chosen)]);
-        assert_eq!(auto.path == Path::Iovec, chosen == Datapath::Iov);
+        assert_eq!(auto.steps, vec![Step::Select(Datapath::Iov)]);
+        assert_eq!(auto.path, Path::Iovec);
+        // Without a bounded list the selector falls back to pack.
+        let capped = clean(&RouteInput {
+            regions: Regions::Capped,
+            ..input(Datapath::Auto)
+        });
+        assert_eq!(capped.steps, vec![Step::Select(Datapath::Pack)]);
+        assert_eq!(capped.path, Path::Rendezvous);
         // Contiguous sends never consult the selector.
         let contiguous = clean(&RouteInput {
             contiguous: true,
@@ -435,6 +525,28 @@ mod tests {
             (Path::Rendezvous, Staging::Plan, Pooled)
         );
         assert!(contiguous.steps.is_empty());
+    }
+
+    #[test]
+    fn send_engine_is_the_routes_selection() {
+        let vector = |n: usize, block: usize| {
+            Datatype::vector(n, block, 2 * block as i64, &Datatype::byte()).unwrap().commit()
+        };
+        // Long regions, 8-byte regions, an eager message, a capped list.
+        let cases = [vector(128, 8192), vector(1 << 17, 8), vector(4, 1024), vector(4096, 512)];
+        let mut seen = Vec::new();
+        for t in &cases {
+            let mut i = RouteInput::new(&SKX, t, 1, SendMode::Standard, true, 0, 0).unwrap();
+            i.lookup_regions(t, 1, None);
+            let r = clean(&RouteInput { buf_len: usize::MAX, ..i });
+            let engine = send_engine(&SKX, t, 1).unwrap();
+            assert_eq!(r.steps, vec![Step::Select(engine)]);
+            seen.push(engine);
+        }
+        assert_eq!(seen, [Datapath::Iov, Datapath::Pack, Datapath::Pack, Datapath::Pack]);
+        // A forced datapath is reported as forced.
+        let forced = SKX.clone().with_datapath(Datapath::Iov);
+        assert_eq!(send_engine(&forced, &cases[1], 1), Ok(Datapath::Iov));
     }
 
     #[test]

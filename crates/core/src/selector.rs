@@ -11,23 +11,23 @@
 //! * **elem** — the uncompiled per-segment engine, which skips plan
 //!   compilation entirely and wins only for tiny messages.
 //!
-//! The selector picks per `(platform, byte size, region shape)` from a
-//! [`CrossoverTable`] seeded by the `datapath_baseline` calibration
-//! sweep: iovec wins once the mean region length clears the platform's
-//! measured crossover, because the per-region descriptor cost amortizes
-//! while the avoided gather copy scales with the payload. Decisions are
-//! observable through [`EventKind::Select`](crate::trace::EventKind)
-//! trace events and the process-wide [`selector_counters`].
+//! Auto mode takes the engine the cost model prices cheapest: [`select`]
+//! evaluates the charges p2p bills on each path for the send's
+//! [`RegionShape`] and picks iovec only where it is strictly cheaper
+//! than the staged pack. Iovec wins once regions are long enough that
+//! the per-region descriptor cost amortizes against the avoided gather
+//! copy; the crossover is derived, not seeded. Decisions are observable
+//! through [`EventKind::Select`](crate::trace::EventKind) trace events
+//! and the process-wide [`selector_counters`].
 //!
-//! Overrides, strongest first: `Platform::with_datapath` (in-process),
-//! the `NONCTG_DATAPATH` environment variable (pack|iov|elem|auto), then
-//! the table itself (`NONCTG_IOV_CROSSOVER`, `NONCTG_ELEM_CUTOFF`,
-//! `NONCTG_IOV_MAX_REGIONS`).
+//! Overrides: `Platform::with_datapath` (in-process), then the
+//! `NONCTG_DATAPATH` environment variable (pack|iov|elem|auto);
+//! `NONCTG_IOV_MAX_REGIONS` caps the region lists iovec may carry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use nonctg_simnet::{Datapath, PlatformId};
+use nonctg_simnet::{Access, Datapath, Platform, PlatformId};
 
 /// Default cap on how many regions an iovec send may carry; region lists
 /// beyond this fall back to the pack path (descriptor tables stop
@@ -48,71 +48,22 @@ pub fn iov_max_regions() -> usize {
     })
 }
 
-/// Measured pack/iovec/element crossovers for one platform.
+/// Messages at or under this many bytes take the element engine.
 ///
-/// Seeded per installation from the `datapath_baseline` calibration
-/// sweep (see BENCH_datapath.json): the region length where zero-copy
-/// iovec overtakes the staged pack, and the message size under which
-/// the uncompiled element engine beats both compiled paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrossoverTable {
-    /// Messages at or under this many bytes route to the element engine
-    /// (plan compilation and staging don't amortize).
-    pub elem_max_bytes: u64,
-    /// Mean region length at or above which iovec beats pack.
-    pub iov_min_region_bytes: u64,
-}
-
-impl CrossoverTable {
-    /// Calibration-seeded table for one installation.
-    ///
-    /// The per-region descriptor cost scales with the CPU's call
-    /// overhead while the avoided gather scales with copy bandwidth, so
-    /// the weak-core KNL needs longer regions before iovec pays off.
-    pub fn seeded(id: PlatformId) -> CrossoverTable {
-        match id {
-            PlatformId::SkxImpi => {
-                CrossoverTable { elem_max_bytes: 256, iov_min_region_bytes: 160 }
-            }
-            PlatformId::SkxMvapich => {
-                CrossoverTable { elem_max_bytes: 256, iov_min_region_bytes: 160 }
-            }
-            PlatformId::Ls5CrayMpich => {
-                CrossoverTable { elem_max_bytes: 256, iov_min_region_bytes: 160 }
-            }
-            PlatformId::KnlImpi => {
-                CrossoverTable { elem_max_bytes: 256, iov_min_region_bytes: 192 }
-            }
-        }
-    }
-
-    /// The table in force: the seeded values with any `NONCTG_IOV_CROSSOVER`
-    /// / `NONCTG_ELEM_CUTOFF` (bytes) environment overrides applied.
-    /// Overrides are resolved once per process.
-    pub fn effective(id: PlatformId) -> CrossoverTable {
-        static IOV: OnceLock<Option<u64>> = OnceLock::new();
-        static ELEM: OnceLock<Option<u64>> = OnceLock::new();
-        let env_u64 = |name: &str| {
-            std::env::var(name).ok().and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        let mut t = Self::seeded(id);
-        if let Some(v) = IOV.get_or_init(|| env_u64("NONCTG_IOV_CROSSOVER")) {
-            t.iov_min_region_bytes = *v;
-        }
-        if let Some(v) = ELEM.get_or_init(|| env_u64("NONCTG_ELEM_CUTOFF")) {
-            t.elem_max_bytes = *v;
-        }
-        t
-    }
-}
+/// This is a wall-clock rule, not a model decision: the element walk is
+/// billed exactly the staged pack's virtual time, so the cost model
+/// cannot tell the two apart. What it saves is host time — for a few
+/// hundred bytes, compiling and caching a plan costs more than walking
+/// the segments.
+pub const ELEM_MAX_BYTES: u64 = 256;
 
 /// Shape summary of an iovec region list: the descriptor count plus how
 /// many of those regions are shorter than one cacheline. Sub-line
 /// descriptors fall off the NIC's batched fast path and each cost a full
 /// per-call overhead instead of the batched quarter (see
-/// `Platform::iov_overhead`), so a skewed layout mixing a few long
-/// regions with many tiny ones is far more expensive than its *mean*
-/// region length suggests.
+/// `Platform::iov_overhead_shaped`), so a skewed layout mixing a few
+/// long regions with many tiny ones is far more expensive than its
+/// *mean* region length suggests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionShape {
     /// Total regions in the list.
@@ -128,55 +79,59 @@ impl RegionShape {
         let subline = regions.iter().filter(|&&(_, len)| len < cacheline).count() as u64;
         RegionShape { n: regions.len() as u64, subline }
     }
-
-    /// A list of `n` regions all at or above the cacheline — the shape
-    /// the calibration probe sweeps and the legacy mean-length rule
-    /// assumed for everything.
-    pub fn uniform(n: u64) -> RegionShape {
-        RegionShape { n, subline: 0 }
-    }
-
-    /// Descriptor-cost-weighted region count: a sub-line region costs a
-    /// full per-call overhead, 4x the batched fraction a cacheline-sized
-    /// one pays, so it counts as 4 descriptors. This is the per-region
-    /// model the cost tables charge; dividing `bytes` by it replaces the
-    /// variance-blind mean.
-    pub fn weighted(&self) -> u64 {
-        self.n + 3 * self.subline
-    }
 }
 
-/// Pick the engine for one non-contiguous send of `bytes` payload, given
-/// the [`RegionShape`] of its bounded region list (`None` = no compiled
-/// plan or the list blew the [`iov_max_regions`] cap, which rules iovec
-/// out). Pure in its inputs: the same `(platform id, bytes, shape)`
-/// always selects the same engine, so recorded selections are
-/// reproducible across runs and sharding.
+/// Model seconds the pack path spends on a payload beyond what every
+/// rendezvous pays: the sender's staging gather, the contiguous wire
+/// and the receiver's scatter.
+fn pack_cost(p: &Platform, bytes: u64, access: &Access) -> f64 {
+    p.staging_time(bytes, access, false)
+        + p.wire_time(bytes, 1.0)
+        + p.scatter_time(bytes, access, false)
+}
+
+/// Model seconds the iovec path spends on the same payload: the
+/// sender's region descriptors, the DMA-gather wire with its per-region
+/// restarts and the receiver's direct scatter.
+fn iov_cost(p: &Platform, bytes: u64, s: RegionShape) -> f64 {
+    p.iov_overhead_shaped(s.n, s.subline)
+        + p.iov_wire_time(bytes, s.n)
+        + p.iov_scatter_time_shaped(bytes, s.n, s.subline, false)
+}
+
+/// Pick the engine for one non-contiguous send of `bytes` payload laid
+/// out per `access`, given the [`RegionShape`] of its bounded region
+/// list (`None` = eager, no compiled plan, or a list over the
+/// [`iov_max_regions`] cap, which all rule iovec out).
 ///
-/// The iovec rule charges by the descriptor model rather than the naive
-/// mean region length: `bytes / shape.weighted()` must clear the
-/// platform crossover. For uniform lists the two agree; on high-variance
-/// layouts (LAMMPS mixes 24 B and 4 KiB regions) the weighted statistic
-/// correctly prices the swarm of tiny descriptors the mean hides.
-pub fn choose_shape(id: PlatformId, bytes: u64, shape: Option<RegionShape>) -> Datapath {
-    let table = CrossoverTable::effective(id);
-    if bytes <= table.elem_max_bytes {
+/// Iovec is taken when the model prices it strictly below pack. Both
+/// sides are priced with the same functions p2p bills, minus the send
+/// overhead and latency both paths pay, without jitter, and cold, so the
+/// decision is a pure function of `(platform, bytes, layout)`: recorded
+/// selections reproduce across runs, shards and resumes. The receiver is
+/// priced with the sender's layout, since a sender cannot see the
+/// receive type; that is exact for symmetric sends.
+pub fn select(p: &Platform, bytes: u64, access: &Access, shape: Option<RegionShape>) -> Datapath {
+    if bytes <= ELEM_MAX_BYTES {
         return Datapath::Elem;
     }
-    if let Some(s) = shape {
-        let w = s.weighted();
-        if w > 0 && bytes / w >= table.iov_min_region_bytes {
-            return Datapath::Iov;
-        }
+    match shape {
+        Some(s) if iov_cost(p, bytes, s) < pack_cost(p, bytes, access) => Datapath::Iov,
+        _ => Datapath::Pack,
     }
-    Datapath::Pack
 }
 
-/// [`choose_shape`] for a uniform region list of `nregions` regions —
-/// the calibration probe's shape, kept as the stable entry point for
-/// callers that only know a count.
+/// [`select`] for callers that only know a region count: `nregions`
+/// equal regions of `bytes / nregions` each, laid out at a stride of
+/// twice the block (the calibration probe's layout), on the preset
+/// platform `id`. `None` means no bounded region list.
 pub fn choose(id: PlatformId, bytes: u64, nregions: Option<u64>) -> Datapath {
-    choose_shape(id, bytes, nregions.map(RegionShape::uniform))
+    let p = Platform::get(id);
+    let n = nregions.unwrap_or(1).max(1);
+    let block = bytes / n;
+    let access = Access::Strided { blocklen: block, stride: 2 * block };
+    let subline = if block < p.mem.cacheline { n } else { 0 };
+    select(&p, bytes, &access, nregions.map(|_| RegionShape { n, subline }))
 }
 
 static SEL_PACK: AtomicU64 = AtomicU64::new(0);
@@ -241,56 +196,88 @@ pub fn reset_selector_counters() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nonctg_datatype::{self as dt, Datatype};
+
+    /// A committed byte vector of `n` regions of `block` bytes at a
+    /// stride of twice the block — the calibration probe's layout.
+    fn probe_type(n: usize, block: usize) -> Datatype {
+        Datatype::vector(n, block, 2 * block as i64, &Datatype::byte()).unwrap().commit()
+    }
 
     #[test]
     fn tiny_messages_go_elementwise() {
         for id in PlatformId::ALL {
             assert_eq!(choose(id, 64, Some(8)), Datapath::Elem);
-            assert_eq!(choose(id, 256, None), Datapath::Elem);
+            assert_eq!(choose(id, ELEM_MAX_BYTES, None), Datapath::Elem);
+            assert_eq!(choose(id, ELEM_MAX_BYTES + 1, None), Datapath::Pack);
         }
     }
 
     #[test]
     fn long_regions_go_iovec() {
         for id in PlatformId::ALL {
-            // 4 KiB mean regions are far beyond every platform's
-            // crossover.
+            // 4 KiB regions: the avoided gather dwarfs 256 descriptors.
             assert_eq!(choose(id, 1 << 20, Some(256)), Datapath::Iov);
         }
     }
 
     #[test]
-    fn short_regions_and_capped_lists_go_pack() {
+    fn eight_byte_regions_go_pack() {
         for id in PlatformId::ALL {
-            // 8-byte regions: descriptor cost dominates.
+            // The paper's stride-2 f64 layout: descriptor cost dominates.
             assert_eq!(choose(id, 1 << 20, Some(1 << 17)), Datapath::Pack);
+            assert_eq!(choose(id, 8 << 10, Some(1 << 10)), Datapath::Pack);
+        }
+    }
+
+    #[test]
+    fn capped_lists_and_eager_sends_go_pack() {
+        for p in Platform::all() {
             // No bounded region list at all.
-            assert_eq!(choose(id, 1 << 20, None), Datapath::Pack);
+            assert_eq!(choose(p.id, 1 << 20, None), Datapath::Pack);
+            // 512 regions of 2 KiB take iovec; 2048 of 512 B blow the cap.
+            let bounded = probe_type(512, 2048);
+            assert_eq!(crate::send_engine(&p, &bounded, 1), Ok(Datapath::Iov), "{:?}", p.id);
+            let capped = probe_type(iov_max_regions() + 1, 512);
+            assert_eq!(crate::send_engine(&p, &capped, 1), Ok(Datapath::Pack), "{:?}", p.id);
+            // Long regions under the eager limit never look their list up.
+            let eager = probe_type(2, 2048);
+            assert!(4096 <= p.eager_threshold(false));
+            assert_eq!(crate::send_engine(&p, &eager, 1), Ok(Datapath::Pack), "{:?}", p.id);
         }
     }
 
     #[test]
     fn skewed_layouts_price_subline_descriptors() {
         // LAMMPS-shaped skew: 6 x 16 KiB blocks + 700 x 24 B records.
-        // The mean region length (163 B) clears the skx crossover (160),
-        // but 700 sub-line descriptors each cost a full call overhead —
-        // the weighted statistic keeps the send on the pack path.
+        // The mean region length (163 B) is past the uniform crossover,
+        // but 700 sub-line descriptors each cost a full call overhead,
+        // which keeps the send on the pack path.
         let bytes = 6 * 16384u64 + 700 * 24;
+        let access = Access::Irregular { avg_blocklen: bytes as f64 / 706.0 };
         let shape = RegionShape { n: 706, subline: 700 };
-        assert_eq!(choose_shape(PlatformId::SkxImpi, bytes, Some(shape)), Datapath::Pack);
+        for p in Platform::all() {
+            assert_eq!(select(&p, bytes, &access, Some(shape)), Datapath::Pack, "{:?}", p.id);
+        }
         // A uniform list of the same total and count (the mean-length
         // view of the same message) would take iovec.
         assert_eq!(choose(PlatformId::SkxImpi, bytes, Some(706)), Datapath::Iov);
     }
 
     #[test]
-    fn uniform_shapes_match_legacy_choose() {
-        for id in PlatformId::ALL {
-            for bytes in [300u64, 1 << 12, 1 << 20] {
-                for n in [1u64, 64, 4096] {
+    fn count_only_choose_matches_the_shape_aware_entry() {
+        for p in Platform::all() {
+            for block in [8usize, 64, 96, 160, 176, 192, 512, 4096] {
+                for n in [16usize, 128, 900] {
+                    let t = probe_type(n, block);
+                    let regions = dt::plan_for(&t, 1).unwrap().regions(usize::MAX).unwrap();
+                    let shape = RegionShape::of(&regions, p.mem.cacheline);
+                    let bytes = (n * block) as u64;
                     assert_eq!(
-                        choose(id, bytes, Some(n)),
-                        choose_shape(id, bytes, Some(RegionShape::uniform(n)))
+                        choose(p.id, bytes, Some(n as u64)),
+                        select(&p, bytes, &Access::classify(&t), Some(shape)),
+                        "{:?} n={n} block={block}",
+                        p.id
                     );
                 }
             }
@@ -300,17 +287,7 @@ mod tests {
     #[test]
     fn region_shape_of_counts_sublines() {
         let regions = [(0i64, 24u64), (64, 4096), (8192, 63), (16384, 64)];
-        let s = RegionShape::of(&regions, 64);
-        assert_eq!(s, RegionShape { n: 4, subline: 2 });
-        assert_eq!(s.weighted(), 4 + 3 * 2);
-        assert_eq!(RegionShape::uniform(9).weighted(), 9);
-    }
-
-    #[test]
-    fn knl_needs_longer_regions_than_skx() {
-        let skx = CrossoverTable::seeded(PlatformId::SkxImpi);
-        let knl = CrossoverTable::seeded(PlatformId::KnlImpi);
-        assert!(knl.iov_min_region_bytes > skx.iov_min_region_bytes);
+        assert_eq!(RegionShape::of(&regions, 64), RegionShape { n: 4, subline: 2 });
     }
 
     #[test]

@@ -5,13 +5,17 @@
 
 use nonctg_core::datatype::Datatype;
 use nonctg_core::{FaultStats, Universe};
-use nonctg_simnet::{Datapath, FaultPlan, Platform};
+use nonctg_simnet::{Datapath, FaultPlan, Platform, PlatformId};
 use proptest::prelude::*;
 
-fn quiet() -> Platform {
-    let mut p = Platform::skx_impi();
+fn quiet_on(id: PlatformId) -> Platform {
+    let mut p = Platform::get(id);
     p.jitter_sigma = 0.0;
     p
+}
+
+fn quiet() -> Platform {
+    quiet_on(PlatformId::SkxImpi)
 }
 
 /// Build a strided byte vector type and a patterned source buffer big
@@ -158,30 +162,57 @@ fn auto_mode_keeps_pack_for_paper_workloads() {
     assert_layout(&src, &r1, count, blocklen, stride, 0xBB);
 }
 
+/// Virtual seconds (max over ranks) of one cold one-way send 0 -> 1 of
+/// `dtype` from `src`, received into the same layout.
+fn one_way_time(p: Platform, dtype: &Datatype, src: &[u8]) -> f64 {
+    let dtype = dtype.clone();
+    let payload = src.to_vec();
+    let n = payload.len();
+    let times = Universe::run(p, 2, move |comm| {
+        if comm.rank() == 0 {
+            comm.send(&payload, 0, &dtype, 1, 1, 0).unwrap();
+        } else {
+            let mut buf = vec![0u8; n];
+            comm.recv(&mut buf, 0, &dtype, 1, Some(0), Some(0)).unwrap();
+        }
+        comm.wtime()
+    });
+    times.into_iter().fold(0.0f64, f64::max)
+}
+
 /// For long regions the zero-copy path must be faster in virtual time
 /// than the staged pack path — the perf claim the selector encodes.
 #[test]
 fn iovec_is_faster_for_long_regions() {
     let (count, blocklen, stride) = (256usize, 4096usize, 4608usize);
     let (t, src) = vector_case(count, blocklen, stride);
-    let time_with = |p: Platform| {
-        let dtype = t.clone();
-        let payload = src.clone();
-        let n = payload.len();
-        let times = Universe::run(p, 2, move |comm| {
-            if comm.rank() == 0 {
-                comm.send(&payload, 0, &dtype, 1, 1, 0).unwrap();
-            } else {
-                let mut buf = vec![0u8; n];
-                comm.recv(&mut buf, 0, &dtype, 1, Some(0), Some(0)).unwrap();
-            }
-            comm.wtime()
-        });
-        times.into_iter().fold(0.0f64, f64::max)
-    };
-    let pack = time_with(quiet().with_datapath(Datapath::Pack));
-    let iov = time_with(quiet().with_datapath(Datapath::Iov));
+    let pack = one_way_time(quiet().with_datapath(Datapath::Pack), &t, &src);
+    let iov = one_way_time(quiet().with_datapath(Datapath::Iov), &t, &src);
     assert!(iov < pack, "iovec not faster: iov={iov:e} pack={pack:e}");
+}
+
+/// Auto mode is the argmin of the cost model: on every platform, at
+/// region lengths straddling every crossover and two region counts, a
+/// cold one-way send under auto takes exactly the virtual time of the
+/// cheaper forced engine.
+#[test]
+fn auto_mode_time_is_the_cheaper_forced_engine() {
+    let _serial = SELECTOR_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    for id in PlatformId::ALL {
+        for count in [128usize, 900] {
+            for blocklen in [64usize, 96, 128, 160, 176, 192, 256, 512, 4096] {
+                let (t, src) = vector_case(count, blocklen, 2 * blocklen);
+                let time = |dp| one_way_time(quiet_on(id).with_datapath(dp), &t, &src);
+                let (auto, pack, iov) =
+                    (time(Datapath::Auto), time(Datapath::Pack), time(Datapath::Iov));
+                assert_eq!(
+                    auto.to_bits(),
+                    pack.min(iov).to_bits(),
+                    "{id:?} {count} x {blocklen} B: auto {auto:e}, pack {pack:e}, iov {iov:e}"
+                );
+            }
+        }
+    }
 }
 
 /// A user buffer shorter than the message is the same typed

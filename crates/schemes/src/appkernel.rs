@@ -17,10 +17,9 @@
 use std::fmt;
 use std::str::FromStr;
 
-use nonctg_core::selector::RegionShape;
 use nonctg_core::Universe;
 use nonctg_datatype::{layouts, pack_into_uncompiled, plan_for, Datatype};
-use nonctg_simnet::{Access, Datapath, Platform};
+use nonctg_simnet::{Access, Platform};
 
 use crate::pingpong::{PingPongConfig, PingPongResult, PING_TAG, PONG_TAG};
 use crate::scheme::Scheme;
@@ -174,25 +173,6 @@ impl KernelWorkload {
     }
 }
 
-/// The datapath engine the runtime uses for this kernel's derived sends
-/// at this size: the forced engine when overridden, else the shape-aware
-/// selector's choice, mirroring runtime eligibility (eager messages and
-/// region lists past the iovec cap cannot take the zero-copy path).
-pub fn kernel_selected_for(platform: &Platform, w: &KernelWorkload) -> Datapath {
-    match platform.effective_datapath() {
-        Datapath::Auto => {
-            let bytes = w.msg_bytes as u64;
-            let eager = bytes <= platform.eager_threshold(false);
-            let shape = (!eager)
-                .then(|| w.regions(nonctg_core::iov_max_regions()))
-                .flatten()
-                .map(|r| RegionShape::of(&r, platform.mem.cacheline));
-            nonctg_core::selector::choose_shape(platform.id, bytes, shape)
-        }
-        forced => forced,
-    }
-}
-
 /// Sampled byte-payload verification (full compare for small payloads).
 fn verify_payload(got: &[u8], expected: &[u8], kernel: AppKernel) {
     assert_eq!(got.len(), expected.len(), "{kernel}: payload size");
@@ -328,7 +308,7 @@ pub fn run_kernel_sweep(platform: &Platform, kernel: AppKernel, cfg: &SweepConfi
             continue; // two targets collapsed onto the same layout
         }
         last_bytes = w.msg_bytes;
-        let selected = kernel_selected_for(platform, &w);
+        let selected = nonctg_core::send_engine(platform, &w.dtype, 1).expect("kernel size");
         let pp = cfg.base.clone().adaptive(w.msg_bytes);
         let mut group: Vec<SweepPoint> = Vec::with_capacity(KERNEL_SCHEMES.len());
         for scheme in KERNEL_SCHEMES {
@@ -355,7 +335,7 @@ pub fn run_kernel_sweep(platform: &Platform, kernel: AppKernel, cfg: &SweepConfi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonctg_simnet::PlatformId;
+    use nonctg_simnet::{Datapath, PlatformId};
 
     fn quiet() -> Platform {
         let mut p = Platform::skx_impi();
@@ -445,7 +425,7 @@ mod tests {
             w.regions(nonctg_core::iov_max_regions()).is_none(),
             "large WRF halo should exceed the iovec descriptor cap"
         );
-        assert_eq!(kernel_selected_for(&quiet(), &w), Datapath::Pack);
+        assert_eq!(nonctg_core::send_engine(&quiet(), &w.dtype, 1).unwrap(), Datapath::Pack);
     }
 
     #[test]
@@ -453,14 +433,15 @@ mod tests {
         // Few 2304-byte regions, well past the eager limit: the
         // shape-aware selector should take the zero-copy path.
         let w = KernelWorkload::sized(AppKernel::Milc, 256 << 10);
-        assert_eq!(kernel_selected_for(&quiet(), &w), Datapath::Iov);
+        assert_eq!(nonctg_core::send_engine(&quiet(), &w.dtype, 1).unwrap(), Datapath::Iov);
     }
 
     #[test]
     fn lammps_skew_keeps_pack_despite_high_mean() {
         // Mixed 24 B / 4 KiB records: mean region length is high but the
-        // sub-cacheline descriptors dominate the weighted cost.
+        // sub-cacheline descriptors, each a full call overhead, dominate
+        // the iovec cost.
         let w = KernelWorkload::sized(AppKernel::Lammps, 256 << 10);
-        assert_eq!(kernel_selected_for(&quiet(), &w), Datapath::Pack);
+        assert_eq!(nonctg_core::send_engine(&quiet(), &w.dtype, 1).unwrap(), Datapath::Pack);
     }
 }

@@ -20,8 +20,7 @@ mod sweep;
 mod workload;
 
 pub use appkernel::{
-    kernel_selected_for, run_kernel_scheme, run_kernel_sweep, AppKernel, KernelWorkload,
-    KERNEL_SCHEMES,
+    run_kernel_scheme, run_kernel_sweep, AppKernel, KernelWorkload, KERNEL_SCHEMES,
 };
 pub use phases::{
     attribute, run_phase_sweep, run_phase_sweep_with, run_scheme_phases, Phase, PhasePoint,

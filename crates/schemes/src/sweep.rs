@@ -140,24 +140,12 @@ impl SweepPoint {
     }
 }
 
-/// The engine the runtime's datapath machinery uses for a point of this
-/// workload: the platform's forced engine when overridden, else the
-/// adaptive selector's choice, mirroring the runtime's eligibility rules
-/// (eager messages and region lists past the iovec cap cannot take the
-/// zero-copy path). Pure in (platform, layout, size), so recorded
-/// selections are reproducible across runs, shards, and resumes.
+/// The engine the runtime takes for this workload's vector-type send
+/// ([`nonctg_core::send_engine`]). Pure in (platform, layout, size), so
+/// recorded selections are reproducible across runs, shards, and resumes.
 fn selected_for(platform: &Platform, w: &Workload) -> Datapath {
-    match platform.effective_datapath() {
-        Datapath::Auto => {
-            let bytes = w.msg_bytes() as u64;
-            let eager = bytes <= platform.eager_threshold(false);
-            let n = w.elems();
-            let regions = (!eager && n <= nonctg_core::iov_max_regions())
-                .then_some(n as u64);
-            nonctg_core::selector::choose(platform.id, bytes, regions)
-        }
-        forced => forced,
-    }
+    let t = w.vector_type().expect("workload vector type");
+    nonctg_core::send_engine(platform, &t, 1).expect("workload size")
 }
 
 /// Cumulative fault-injection counters over every measurement a sweep
