@@ -31,7 +31,9 @@ impl Datatype {
     }
 
     fn walk_typemap(&self, base: i64, out: &mut Vec<TypeMapEntry>, limit: usize) {
-        if out.len() >= limit {
+        // An empty type has no entries: without this check, `count` empty
+        // children would cost `count` visits that emit nothing.
+        if out.len() >= limit || self.size() == 0 {
             return;
         }
         match self.kind() {
@@ -396,6 +398,13 @@ mod layout_tests {
         let r = Datatype::resized(&a, 0, 32).unwrap();
         assert!(layout_eq(&a, &r));
         assert_ne!(a.extent(), r.extent());
+    }
+
+    #[test]
+    fn preview_skips_empty_children_without_visiting_them() {
+        let empty = Datatype::contiguous(0, &Datatype::f64()).unwrap();
+        let t = Datatype::vector(1 << 40, 1, 1, &empty).unwrap();
+        assert!(t.type_map_preview(8).is_empty());
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! signature, denseness, segment-count hints — are computed once at
 //! construction and cached on the node, so queries are O(1) regardless of
 //! how deeply types are nested.
+//!
+//! Construction costs what the description costs. Contiguous, vector,
+//! hvector and subarray types are built in closed form, in O(1) whatever
+//! their count: `vector(2^30, 1, 2)` allocates no per-block list. Only the
+//! indexed kinds and structs, whose descriptions are lists, walk their
+//! blocks, in O(blocks).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -138,7 +144,67 @@ fn cmulu(a: u64, b: u64) -> Result<u64> {
     a.checked_mul(b).ok_or(DatatypeError::Overflow)
 }
 
-/// Bounds accumulator for min/max over typemap pieces.
+/// Byte offset `j * sb` of block `j` in a strided progression.
+fn block_offset(j: u64, sb: i64) -> Result<i64> {
+    if sb == 0 {
+        return Ok(0);
+    }
+    cmul(i64::try_from(j).map_err(|_| DatatypeError::Overflow)?, sb)
+}
+
+/// The extent at which `child` tiles inside a block; negative extents
+/// cannot tile.
+fn tiling_extent(child: &Datatype) -> Result<i64> {
+    let ext = child.extent_i64();
+    if ext < 0 {
+        return Err(DatatypeError::NegativeExtentChild);
+    }
+    Ok(ext)
+}
+
+/// One block's contribution to its parent: its bounds, and the run it
+/// feeds the [`DenseTracker`].
+struct Piece {
+    lb: i64,
+    ub: i64,
+    tlb: i64,
+    tub: i64,
+    /// The block as a single run, when it is one (`len == 0` for an empty
+    /// child).
+    run: Option<Block>,
+    /// Coalesced segments in the block, when it is not one run.
+    segs: u64,
+}
+
+impl Piece {
+    /// The per-block arithmetic of the "blocks of one child" kinds and of
+    /// struct fields: `bl > 0` instances of `c` (extent `ext`) tiled from
+    /// byte offset `off`.
+    fn of(c: &TypeNode, ext: i64, off: i64, bl: u64) -> Result<Piece> {
+        let span = cmul(i64::try_from(bl - 1).map_err(|_| DatatypeError::Overflow)?, ext)?;
+        // The block is a single dense run if the child is dense and tiles
+        // exactly by its extent.
+        let tiles = c.dense.filter(|b| ext == b.len as i64 && c.size > 0);
+        let (run, segs) = match (tiles, c.dense) {
+            (Some(b), _) => (Some(Block { offset: cadd(off, b.offset)?, len: cmulu(b.len, bl)? }), 1),
+            _ if c.size == 0 => (Some(Block { offset: off, len: 0 }), 0),
+            (None, Some(b)) if bl == 1 => (Some(Block { offset: cadd(off, b.offset)?, len: b.len }), 1),
+            (None, _) if bl == 1 => (None, c.seg_hint),
+            (None, _) => (None, cmulu(bl, c.seg_hint)?),
+        };
+        Ok(Piece {
+            lb: cadd(off, c.lb)?,
+            ub: cadd(cadd(off, span)?, c.ub)?,
+            tlb: cadd(off, c.true_lb)?,
+            tub: cadd(cadd(off, span)?, c.true_ub)?,
+            run,
+            segs,
+        })
+    }
+}
+
+/// Bounds accumulator for min/max over typemap pieces; all zero when
+/// nothing was included.
 #[derive(Clone, Copy)]
 struct Bounds {
     lb: i64,
@@ -153,16 +219,17 @@ impl Bounds {
         Bounds { lb: 0, ub: 0, tlb: 0, tub: 0, any: false }
     }
 
-    fn include(&mut self, lb: i64, ub: i64, tlb: i64, tub: i64) {
+    fn include(&mut self, p: &Piece) {
         if !self.any {
-            *self = Bounds { lb, ub, tlb, tub, any: true };
+            *self = Bounds { lb: p.lb, ub: p.ub, tlb: p.tlb, tub: p.tub, any: true };
         } else {
-            self.lb = self.lb.min(lb);
-            self.ub = self.ub.max(ub);
-            self.tlb = self.tlb.min(tlb);
-            self.tub = self.tub.max(tub);
+            self.lb = self.lb.min(p.lb);
+            self.ub = self.ub.max(p.ub);
+            self.tlb = self.tlb.min(p.tlb);
+            self.tub = self.tub.max(p.tub);
         }
     }
+
 }
 
 /// Tracks whether a sequence of emitted segments forms a single dense run,
@@ -207,6 +274,30 @@ impl DenseTracker {
         }
     }
 
+    /// Feeds `n` more runs continuing the progression of the last two fed,
+    /// in O(1): the closed form of `n` calls to [`Self::feed`]. Two runs
+    /// that chained are one step of their length apart, so every later run
+    /// chains too; once they did not, each later run is one more segment.
+    fn feed_repeats(&mut self, run: Option<Block>, segs: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        match run {
+            Some(b) if b.len == 0 => {}
+            Some(b) => match &mut self.first {
+                Some(f) if self.dense => {
+                    f.len = f.len.saturating_add(b.len.saturating_mul(n));
+                    self.expected_next = f.offset.saturating_add(f.len as i64);
+                }
+                _ => self.segs = self.segs.saturating_add(n),
+            },
+            None => {
+                self.dense = false;
+                self.segs = self.segs.saturating_add(segs.saturating_mul(n));
+            }
+        }
+    }
+
     fn dense_block(&self) -> Option<Block> {
         match &self.first {
             // No data at all (and no irregular runs fed): the empty type.
@@ -247,21 +338,14 @@ impl TypeNode {
                     kind: kind.clone(),
                 }
             }
-            Kind::Contiguous { count, child } => {
-                Self::build_blocky(&kind, &[(0i64, *count)], child)?
-            }
+            // One block of `count` children at offset zero.
+            Kind::Contiguous { count, child } => Self::build_strided(&kind, 1, *count, 0, child)?,
             Kind::Vector { count, blocklen, stride, child } => {
-                let ext = child.extent_i64();
-                let sb = cmul(*stride, ext)?;
-                let offs: Vec<(i64, u64)> =
-                    (0..*count).map(|j| cmul(j as i64, sb).map(|o| (o, *blocklen))).collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, child)?
+                let sb = cmul(*stride, child.extent_i64())?;
+                Self::build_strided(&kind, *count, *blocklen, sb, child)?
             }
             Kind::Hvector { count, blocklen, stride_bytes, child } => {
-                let offs: Vec<(i64, u64)> = (0..*count)
-                    .map(|j| cmul(j as i64, *stride_bytes).map(|o| (o, *blocklen)))
-                    .collect::<Result<_>>()?;
-                Self::build_blocky(&kind, &offs, child)?
+                Self::build_strided(&kind, *count, *blocklen, *stride_bytes, child)?
             }
             Kind::Indexed { blocks, child } => {
                 let ext = child.extent_i64();
@@ -309,69 +393,71 @@ impl TypeNode {
         Ok(Datatype { node: Arc::new(node) })
     }
 
-    /// Shared construction for every kind that is "blocks of a single child
-    /// type at byte offsets": contiguous, vector, hvector, indexed flavors.
-    ///
+    /// The walk for the indexed kinds, whose description is a block list:
     /// `offsets` holds `(byte_offset_of_block, blocklen)` pairs in typemap
     /// order; within a block, child instances tile by the child extent.
     fn build_blocky(kind: &Kind, offsets: &[(i64, u64)], child: &Datatype) -> Result<TypeNode> {
-        if child.extent_i64() < 0 {
-            return Err(DatatypeError::NegativeExtentChild);
-        }
-        let ext = child.extent_i64();
-        let c = &child.node;
-
+        let ext = tiling_extent(child)?;
         let mut total: u64 = 0;
         let mut bounds = Bounds::new();
         let mut tracker = DenseTracker::new();
-
-        // One block of `bl` child instances, as a single dense run if the
-        // child itself is dense and tiles exactly by its extent.
-        let child_block_dense =
-            c.dense.filter(|b| ext == b.len as i64 && c.size > 0).map(|b| b.len);
-
         for &(off, bl) in offsets {
             if bl == 0 {
                 continue;
             }
             total = total.checked_add(bl).ok_or(DatatypeError::Overflow)?;
-            let span = cmul(bl as i64 - 1, ext)?;
-            bounds.include(
-                cadd(off, c.lb)?,
-                cadd(cadd(off, span)?, c.ub)?,
-                cadd(off, c.true_lb)?,
-                cadd(cadd(off, span)?, c.true_ub)?,
-            );
-            match child_block_dense {
-                Some(len) => {
-                    let b = c.dense.unwrap();
-                    tracker.feed(Some(Block { offset: cadd(off, b.offset)?, len: cmulu(len, bl)? }), 1);
-                }
-                None => {
-                    if c.size == 0 {
-                        // empty child: no bytes at all
-                        tracker.feed(Some(Block { offset: off, len: 0 }), 0);
-                    } else if bl == 1 {
-                        match c.dense {
-                            Some(b) => tracker.feed(Some(Block { offset: cadd(off, b.offset)?, len: b.len }), 1),
-                            None => tracker.feed(None, c.seg_hint),
-                        }
-                    } else {
-                        tracker.feed(None, cmulu(bl, c.seg_hint)?);
-                    }
-                }
-            }
+            let p = Piece::of(&child.node, ext, off, bl)?;
+            bounds.include(&p);
+            tracker.feed(p.run, p.segs);
         }
+        Self::blocky_node(kind, child, total, bounds, &tracker)
+    }
 
-        let size = cmulu(total, c.size)?;
-        let (lb, ub, tlb, tub) = if bounds.any {
-            (bounds.lb, bounds.ub, bounds.tlb, bounds.tub)
-        } else {
-            (0, 0, 0, 0)
+    /// The closed form of [`Self::build_blocky`] for `count` blocks of `bl`
+    /// children at byte offsets `j * sb`: contiguous, vector and hvector
+    /// build in O(1), whatever the count.
+    ///
+    /// Offsets are linear in `j`, so blocks `0` and `count - 1` carry the
+    /// extremes of every bound and every overflow check of the walk, and
+    /// blocks `0` and `1` decide whether all blocks chain.
+    fn build_strided(kind: &Kind, count: u64, bl: u64, sb: i64, child: &Datatype) -> Result<TypeNode> {
+        let last = match count.checked_sub(1) {
+            Some(j) => block_offset(j, sb)?,
+            None => 0,
         };
+        let ext = tiling_extent(child)?;
+        let c = &child.node;
+        let mut bounds = Bounds::new();
+        let mut tracker = DenseTracker::new();
+        let total = if count == 0 || bl == 0 {
+            0
+        } else {
+            let first = Piece::of(c, ext, 0, bl)?;
+            bounds.include(&first);
+            bounds.include(&Piece::of(c, ext, last, bl)?);
+            tracker.feed(first.run, first.segs);
+            if count > 1 {
+                let second = Piece::of(c, ext, block_offset(1, sb)?, bl)?;
+                tracker.feed(second.run, second.segs);
+                tracker.feed_repeats(second.run, second.segs, count - 2);
+            }
+            cmulu(count, bl)?
+        };
+        Self::blocky_node(kind, child, total, bounds, &tracker)
+    }
 
+    /// The node of `total` child instances with the given bounds and runs.
+    fn blocky_node(
+        kind: &Kind,
+        child: &Datatype,
+        total: u64,
+        bounds: Bounds,
+        tracker: &DenseTracker,
+    ) -> Result<TypeNode> {
+        let c = &child.node;
+        let Bounds { lb, ub, tlb, tub, .. } = bounds;
         Ok(TypeNode {
-            size,
+            size: cmulu(total, c.size)?,
             lb,
             ub,
             true_lb: tlb,
@@ -403,45 +489,18 @@ impl TypeNode {
             if f.blocklen == 0 {
                 continue;
             }
-            if f.datatype.extent_i64() < 0 {
-                return Err(DatatypeError::NegativeExtentChild);
-            }
-            let ext = f.datatype.extent_i64();
+            let ext = tiling_extent(&f.datatype)?;
             align = align.max(c.align);
             size = size
                 .checked_add(cmulu(f.blocklen, c.size)?)
                 .ok_or(DatatypeError::Overflow)?;
             sig = sig.plus(&c.sig.scaled(f.blocklen)?)?;
-            let span = cmul(f.blocklen as i64 - 1, ext)?;
-            bounds.include(
-                cadd(f.displacement, c.lb)?,
-                cadd(cadd(f.displacement, span)?, c.ub)?,
-                cadd(f.displacement, c.true_lb)?,
-                cadd(cadd(f.displacement, span)?, c.true_ub)?,
-            );
-            let block_dense = c.dense.filter(|b| ext == b.len as i64 && c.size > 0);
-            match block_dense {
-                Some(b) => tracker.feed(
-                    Some(Block {
-                        offset: cadd(f.displacement, b.offset)?,
-                        len: cmulu(b.len, f.blocklen)?,
-                    }),
-                    1,
-                ),
-                None if c.size == 0 => {}
-                None if f.blocklen == 1 => match c.dense {
-                    Some(b) => tracker.feed(Some(Block { offset: cadd(f.displacement, b.offset)?, len: b.len }), 1),
-                    None => tracker.feed(None, c.seg_hint),
-                },
-                None => tracker.feed(None, cmulu(f.blocklen, c.seg_hint)?),
-            }
+            let p = Piece::of(c, ext, f.displacement, f.blocklen)?;
+            bounds.include(&p);
+            tracker.feed(p.run, p.segs);
         }
 
-        let (lb, mut ub, tlb, tub) = if bounds.any {
-            (bounds.lb, bounds.ub, bounds.tlb, bounds.tub)
-        } else {
-            (0, 0, 0, 0)
-        };
+        let Bounds { lb, mut ub, tlb, tub, .. } = bounds;
         // MPI epsilon rule: pad the extent so arrays of this struct keep
         // every field naturally aligned, exactly as a C compiler would.
         let raw_extent = (ub - lb) as u64;
@@ -478,11 +537,8 @@ impl TypeNode {
         order: ArrayOrder,
         child: &Datatype,
     ) -> Result<TypeNode> {
-        if child.extent_i64() < 0 {
-            return Err(DatatypeError::NegativeExtentChild);
-        }
+        let ext = tiling_extent(child)?;
         let c = &child.node;
-        let ext = child.extent_i64();
         let ndims = sizes.len();
 
         // Element strides per dimension, in child-extent units.

@@ -34,7 +34,7 @@ fn patterned(len: usize, seed: u64) -> Vec<u8> {
 #[test]
 fn ddtbench_layouts_pass_the_type_oracle() {
     for (name, t) in layouts() {
-        for (count, seed) in [(1usize, 0xdd7_1u64), (2, 0xdd7_2)] {
+        for (count, seed) in [(1usize, 0xdd71_u64), (2, 0xdd72)] {
             check_type(&t, count, seed)
                 .unwrap_or_else(|r| panic!("{name} x{count} failed the oracle: {r:?}"));
         }

@@ -1,7 +1,8 @@
 //! Property-based tests of the datatype algebra and pack engine.
 
 use nonctg_datatype::{
-    pack, pack_size, strided_form, unpack_from, ArrayOrder, Datatype, Primitive, SegIter,
+    pack, pack_size, strided_form, unpack_from, ArrayOrder, Datatype, DatatypeError, Primitive,
+    SegIter,
 };
 use proptest::prelude::*;
 
@@ -240,6 +241,74 @@ proptest! {
             real <= d.seg_count_hint(),
             "real {} > hint {}", real, d.seg_count_hint()
         );
+    }
+}
+
+/// Children for the strided-construction equivalence test: the random
+/// trees, plus the edge cases of the closed form — resized children with
+/// negative or huge bounds (which push offsets into overflow), a padded
+/// struct, and the empty type.
+fn arb_strided_child() -> impl Strategy<Value = Datatype> {
+    prop_oneof![
+        arb_datatype(),
+        (arb_datatype(), -64i64..64, 0u64..256)
+            .prop_map(|(c, lb, extent)| Datatype::resized(&c, lb, extent).unwrap()),
+        (arb_datatype(), 0u64..3, proptest::bool::ANY).prop_map(|(c, k, neg)| {
+            let lb = (i64::MAX >> 2) * if neg { -1 } else { 1 };
+            Datatype::resized(&c, lb, (u64::MAX >> 4) + k).unwrap()
+        }),
+        Just(Datatype::structure(&[(1, 0, Datatype::f64()), (1, 8, Datatype::i32())]).unwrap()),
+        Just(Datatype::contiguous(0, &Datatype::f64()).unwrap()),
+    ]
+}
+
+/// The per-block reference for `count` blocks of `blocklen` children at
+/// byte offsets `j * stride_bytes`: an hindexed type, which walks its
+/// block list one block at a time.
+fn per_block_reference(
+    count: usize,
+    blocklen: usize,
+    stride_bytes: Option<i64>,
+    child: &Datatype,
+) -> Result<Datatype, DatatypeError> {
+    let sb = stride_bytes.ok_or(DatatypeError::Overflow)?;
+    let blocks: Vec<(usize, i64)> = (0..count)
+        .map(|j| (j as i64).checked_mul(sb).map(|o| (blocklen, o)).ok_or(DatatypeError::Overflow))
+        .collect::<Result<_, _>>()?;
+    Datatype::hindexed(&blocks, child)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Vector and hvector build in closed form; every cached property, and
+    /// whether construction fails, equals the per-block walk.
+    #[test]
+    fn strided_closed_form_matches_per_block_walk(
+        child in arb_strided_child(),
+        count in 0usize..64,
+        blocklen in 0usize..4,
+        stride in -8i64..8,
+        hvector in proptest::bool::ANY,
+    ) {
+        let (built, sb) = if hvector {
+            (Datatype::hvector(count, blocklen, stride, &child), Some(stride))
+        } else {
+            (Datatype::vector(count, blocklen, stride, &child), stride.checked_mul(child.extent() as i64))
+        };
+        let reference = per_block_reference(count, blocklen, sb, &child);
+        match (built, reference) {
+            (Ok(d), Ok(r)) => {
+                prop_assert_eq!(d.size(), r.size());
+                prop_assert_eq!((d.lb(), d.ub()), (r.lb(), r.ub()));
+                prop_assert_eq!((d.true_lb(), d.true_ub()), (r.true_lb(), r.true_ub()));
+                prop_assert_eq!(d.dense_block(), r.dense_block());
+                prop_assert_eq!(d.seg_count_hint(), r.seg_count_hint());
+                prop_assert_eq!(d.signature(), r.signature());
+                prop_assert_eq!((d.align(), d.depth()), (r.align(), r.depth()));
+            }
+            (d, r) => prop_assert_eq!(d.err(), r.err()),
+        }
     }
 }
 

@@ -418,9 +418,12 @@ fn sender(
     let mut times = Vec::with_capacity(cfg.reps);
     let mut starts = Vec::with_capacity(cfg.reps);
 
-    // All allocations outside the timing loop (§3.2).
-    let src = w.make_source();
-    let contig = w.expected(); // reference sends the same payload contiguously
+    // All allocations outside the timing loop (§3.2), and only those this
+    // scheme's sends read: the reference sends the same payload
+    // contiguously, every other scheme selects it from the source array.
+    let reference = scheme == Scheme::Reference;
+    let src = if reference { Vec::new() } else { w.make_source() };
+    let contig = if reference { w.expected() } else { Vec::new() };
     let mut sendbuf = vec![0.0f64; if scheme == Scheme::Copying { n } else { 0 }];
     // Packing schemes stage through the rank's scratch pool instead of a
     // fresh allocation, so back-to-back measurements reuse one buffer.
@@ -430,13 +433,20 @@ fn sender(
     };
     let mut packbuf = comm.take_scratch(packbuf_len);
     packbuf.truncate(packbuf_len);
-    let vec_t = w.vector_type()?;
-    let sub_t = w.subarray_type()?;
+    // The derived type this scheme sends, if any.
+    let dtype = match scheme {
+        Scheme::VectorType | Scheme::Buffered | Scheme::OneSided | Scheme::PackingVector => {
+            Some(w.vector_type()?)
+        }
+        Scheme::Subarray => Some(w.subarray_type()?),
+        Scheme::Reference | Scheme::Copying | Scheme::PackingElement => None,
+    };
+    let derived = || dtype.as_ref().expect("scheme sends a derived type");
     let f64_t = Datatype::f64();
     let access = access_of(w);
 
     if scheme == Scheme::Buffered {
-        let need = Comm::bsend_size(&vec_t, 1)?;
+        let need = Comm::bsend_size(derived(), 1)?;
         comm.buffer_attach(need)?;
     }
     let mut win = if scheme == Scheme::OneSided {
@@ -446,10 +456,11 @@ fn sender(
         None
     };
 
-    // Compile pack plans outside the timing loop, like the allocations
-    // above: the first timed iteration must not pay plan compilation.
-    comm.pack_prepare(&vec_t, 1);
-    comm.pack_prepare(&sub_t, 1);
+    // Compile the sent type's pack plan outside the timing loop, like the
+    // allocations above: the first timed iteration must not pay it.
+    if let Some(t) = &dtype {
+        comm.pack_prepare(t, 1);
+    }
 
     comm.barrier()?;
 
@@ -470,18 +481,15 @@ fn sender(
                 comm.send_slice(&sendbuf, peer, PING_TAG)?;
             }
             Scheme::Buffered => {
-                comm.bsend(as_bytes(&src), 0, &vec_t, 1, peer, PING_TAG)?;
+                comm.bsend(as_bytes(&src), 0, derived(), 1, peer, PING_TAG)?;
             }
-            Scheme::VectorType => {
-                comm.send(as_bytes(&src), 0, &vec_t, 1, peer, PING_TAG)?;
-            }
-            Scheme::Subarray => {
-                comm.send(as_bytes(&src), 0, &sub_t, 1, peer, PING_TAG)?;
+            Scheme::VectorType | Scheme::Subarray => {
+                comm.send(as_bytes(&src), 0, derived(), 1, peer, PING_TAG)?;
             }
             Scheme::OneSided => {
                 let win = win.as_mut().expect("window");
                 win.fence(comm)?;
-                win.put(comm, as_bytes(&src), 0, &vec_t, 1, peer, 0)?;
+                win.put(comm, as_bytes(&src), 0, derived(), 1, peer, 0)?;
                 win.fence(comm)?;
             }
             Scheme::PackingElement => {
@@ -518,7 +526,7 @@ fn sender(
             }
             Scheme::PackingVector => {
                 let mut pos = 0usize;
-                comm.pack(as_bytes(&src), 0, &vec_t, 1, &mut packbuf, &mut pos)?;
+                comm.pack(as_bytes(&src), 0, derived(), 1, &mut packbuf, &mut pos)?;
                 comm.send_packed(&packbuf, peer, PING_TAG)?;
             }
         }
