@@ -1,19 +1,20 @@
 //! The shared fabric: mailboxes, message envelopes, protocol metadata, and
 //! the clock-combining barrier.
 //!
-//! Payload bytes always move for real (senders pack, receivers unpack and
-//! can verify byte-for-byte); *time* is carried alongside as virtual-clock
-//! stamps computed from the platform cost model. Rendezvous sends block the
-//! sender on a real back-channel until the receiver matches, which keeps
-//! virtual time causal without a global event queue.
+//! Payload bytes always move for real (senders pack, or lend their buffer
+//! to the receiver; receivers unpack and can verify byte-for-byte); *time*
+//! is carried alongside as virtual-clock stamps computed from the platform
+//! cost model. Rendezvous sends block the sender on a real back-channel
+//! until the receiver matches, which keeps virtual time causal without a
+//! global event queue.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use nonctg_datatype::Signature;
+use nonctg_datatype::{Datatype, Signature};
 use nonctg_simnet::Platform;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -92,12 +93,30 @@ impl PayloadPool {
 
     /// A buffer of exactly `len` bytes (contents unspecified beyond being
     /// initialized), reusing a pooled allocation when one is available.
+    ///
+    /// Retained buffers keep their whole initialized length, whatever
+    /// length they were last lent at, and `take` picks the best fit: the
+    /// smallest one already initialized to `len` bytes, else the largest.
+    /// Only bytes never initialized before are zeroed, so a zero-byte
+    /// message between two large ones costs the large one no memset.
     pub fn take(self: &Arc<Self>, len: usize) -> PooledBuf {
-        let mut buf = self.bufs.lock().pop().unwrap_or_default();
+        let mut buf = {
+            let mut bufs = self.bufs.lock();
+            let fit = bufs
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, b)| {
+                    if b.len() >= len {
+                        (false, b.len())
+                    } else {
+                        (true, usize::MAX - b.len())
+                    }
+                })
+                .map(|(i, _)| i);
+            fit.map(|i| bufs.swap_remove(i)).unwrap_or_default()
+        };
         if buf.len() < len {
             buf.resize(len, 0);
-        } else {
-            buf.truncate(len);
         }
         // Empty buffers share the dangling sentinel pointer and can never
         // alias real payload bytes, so only allocations enter the ledger.
@@ -110,7 +129,7 @@ impl PayloadPool {
             }
             self.aliases.lend(ptr);
         }
-        PooledBuf { buf, pool: Some(Arc::clone(self)), poisoned: false }
+        PooledBuf { buf, len, pool: Some(Arc::clone(self)), poisoned: false }
     }
 
     fn put(&self, buf: Vec<u8>) {
@@ -123,8 +142,6 @@ impl PayloadPool {
                 "fault-poisoned buffer {ptr:#x} returned to the payload pool"
             ));
         }
-        // Length is kept: `take` truncates or extends, so reusing a buffer
-        // for an equal-or-smaller payload never pays a memset.
         let mut bufs = self.bufs.lock();
         if bufs.len() < Self::MAX_RETAINED {
             bufs.push(buf);
@@ -149,7 +166,10 @@ impl PayloadPool {
 /// on drop — unless poisoned, in which case it is quarantined instead.
 /// Derefs to `[u8]`.
 pub(crate) struct PooledBuf {
+    /// The allocation, at its whole initialized length.
     buf: Vec<u8>,
+    /// Bytes visible through `Deref`: a prefix of `buf`.
+    len: usize,
     pool: Option<Arc<PayloadPool>>,
     poisoned: bool,
 }
@@ -158,7 +178,7 @@ impl PooledBuf {
     /// Wrap a plain vector without pool backing (the owned-buffer
     /// fallback when the pool is exhausted, and test scaffolding).
     pub fn detached(buf: Vec<u8>) -> PooledBuf {
-        PooledBuf { buf, pool: None, poisoned: false }
+        PooledBuf { len: buf.len(), buf, pool: None, poisoned: false }
     }
 
     /// Mark the buffer fault-poisoned: on drop its allocation goes to the
@@ -173,13 +193,13 @@ impl PooledBuf {
 impl std::ops::Deref for PooledBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf
+        &self.buf[..self.len]
     }
 }
 
 impl std::ops::DerefMut for PooledBuf {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
+        &mut self.buf[..self.len]
     }
 }
 
@@ -201,15 +221,16 @@ impl Drop for PooledBuf {
 
 impl std::fmt::Debug for PooledBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PooledBuf({} B)", self.buf.len())
+        write!(f, "PooledBuf({} B)", self.len)
     }
 }
 
-/// Packed payload of a message: fully materialized, or streamed as a
-/// sequence of chunk buffers the sender is still producing.
+/// Packed payload of a message: staged whole by the sender, streamed as
+/// chunks, shipped with its region list, or lent straight from the
+/// sender's buffer.
 #[derive(Debug)]
 pub(crate) enum Payload {
-    /// The whole packed message.
+    /// The whole packed message, staged by the sender in a pool buffer.
     Whole(PooledBuf),
     /// Chunked stream (pipelined rendezvous): the receiver drains `rx`
     /// until it has `total` bytes. Chunk boundaries are pack-plan block
@@ -236,6 +257,12 @@ pub(crate) enum Payload {
         /// Sender-side region list, for audits and diagnostics.
         regions: Arc<[(i64, u64)]>,
     },
+    /// The user buffer of a blocked rendezvous sender (blocking `send`
+    /// or `ssend`): nothing was staged. The receiver claims the lease and
+    /// moves the bytes once, straight into its receive buffer; only when
+    /// both layouts are non-contiguous does it stage through the pool.
+    /// The virtual-time charges are the staged path's.
+    Lent(Lease),
 }
 
 impl Payload {
@@ -245,7 +272,178 @@ impl Payload {
             Payload::Whole(b) => b.len(),
             Payload::Chunked { total, .. } => *total,
             Payload::Iovec { data, .. } => data.len(),
+            Payload::Lent(lease) => lease.bytes,
         }
+    }
+}
+
+/// [`Lease`] states: posted by the sender, then either claimed and done
+/// by the receiver, or revoked by the sender before any claim. The
+/// receiver's `Release` store of done pairs with the sender's `Acquire`
+/// loads, so every read of the buffer happens before the sender returns.
+const LEASE_POSTED: u8 = 0;
+const LEASE_CLAIMED: u8 = 1;
+const LEASE_DONE: u8 = 2;
+const LEASE_REVOKED: u8 = 3;
+
+/// A blocked sender's user buffer lent to the receiver: `count`
+/// instances of `dtype` at byte `origin`, `bytes` packed. The buffer is
+/// held as a raw pointer, because the borrow lives on the sender's stack.
+///
+/// Lifetime safety follows the worker pool's pattern
+/// (`nonctg_datatype`'s `kernels::pool`): the caller does not return
+/// until the borrowed work is finished. The lease has one atomic state.
+/// The receiver reads the buffer only after it moved that state from
+/// posted to claimed ([`Lease::claim`]), and its [`Claimed`] guard moves
+/// it to done on every exit, panics included. The sender settles its
+/// [`LeaseTicket`] before it returns: a lease still posted is revoked (no
+/// claim can succeed after that), and a claimed one is waited on until
+/// done.
+pub(crate) struct Lease {
+    ptr: *const u8,
+    len: usize,
+    origin: usize,
+    dtype: Datatype,
+    count: usize,
+    bytes: usize,
+    state: Arc<AtomicU8>,
+}
+
+// SAFETY: `ptr` is dereferenced only by `Claimed::src`, after a
+// successful claim, and the sender keeps its shared borrow of the buffer
+// alive until the claim is done (see the type's lifetime notes); reading
+// bytes that nobody can write during a shared borrow is sound from any
+// thread. The other fields are `Send` on their own: plain integers, a
+// `Datatype` (an `Arc` of an immutable tree) and an `Arc<AtomicU8>`.
+unsafe impl Send for Lease {}
+
+impl Lease {
+    /// Lend `count` x `dtype` of `buf` at `origin`, `bytes` packed. The
+    /// caller must keep `buf` borrowed until the returned ticket is
+    /// settled or dropped.
+    pub fn new(
+        buf: &[u8],
+        origin: usize,
+        dtype: &Datatype,
+        count: usize,
+        bytes: usize,
+    ) -> (Lease, LeaseTicket) {
+        let state = Arc::new(AtomicU8::new(LEASE_POSTED));
+        let lease = Lease {
+            ptr: buf.as_ptr(),
+            len: buf.len(),
+            origin,
+            dtype: dtype.clone(),
+            count,
+            bytes,
+            state: Arc::clone(&state),
+        };
+        (lease, LeaseTicket { state })
+    }
+
+    /// Claim the lease, or `None` if its sender revoked it. The guard
+    /// sends `reply` (the rendezvous channel and completion time) once
+    /// the claim is done, so the sender unblocks only after the copy.
+    pub fn claim(self, reply: Option<(Sender<f64>, f64)>) -> Option<Claimed> {
+        self.state
+            .compare_exchange(LEASE_POSTED, LEASE_CLAIMED, Ordering::AcqRel, Ordering::Acquire)
+            .ok()?;
+        Some(Claimed { lease: self, reply })
+    }
+}
+
+impl std::fmt::Debug for Lease {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Lease({} B)", self.bytes)
+    }
+}
+
+/// The receiver's guard on a claimed [`Lease`]. Dropping it (after the
+/// copy, on an error return or during a panic) marks the lease done and
+/// then sends the rendezvous reply it holds.
+pub(crate) struct Claimed {
+    lease: Lease,
+    reply: Option<(Sender<f64>, f64)>,
+}
+
+impl Claimed {
+    /// The sender's whole user buffer.
+    pub fn src(&self) -> &[u8] {
+        // SAFETY: the claim succeeded, so the sender is blocked in its
+        // send until this guard is dropped, holding a shared borrow of
+        // exactly these `len` bytes; the returned slice borrows the guard
+        // and so cannot outlive it.
+        unsafe { std::slice::from_raw_parts(self.lease.ptr, self.lease.len) }
+    }
+
+    /// Byte offset of instance 0 in [`Claimed::src`].
+    pub fn origin(&self) -> usize {
+        self.lease.origin
+    }
+
+    /// The send datatype.
+    pub fn dtype(&self) -> &Datatype {
+        &self.lease.dtype
+    }
+
+    /// The send count.
+    pub fn count(&self) -> usize {
+        self.lease.count
+    }
+}
+
+impl Drop for Claimed {
+    fn drop(&mut self) {
+        self.lease.state.store(LEASE_DONE, Ordering::Release);
+        if let Some((tx, done)) = self.reply.take() {
+            let _ = tx.send(done);
+        }
+    }
+}
+
+/// The sender's side of a [`Lease`]: settled (or dropped) before the
+/// sender's borrow of its buffer ends.
+pub(crate) struct LeaseTicket {
+    state: Arc<AtomicU8>,
+}
+
+impl LeaseTicket {
+    /// Settle the lease once the rendezvous wait returned `res`. A
+    /// completion is final: the receiver sends it only after its copy. A
+    /// failed wait revokes the lease; if the receiver claimed it first,
+    /// the sender waits for the copy and takes the completion it sends.
+    pub fn settle(self, res: Result<f64>, reply: &Receiver<f64>) -> Result<f64> {
+        match res {
+            Ok(done) => Ok(done),
+            Err(e) if self.release() => Err(e),
+            Err(e) => reply.recv_timeout(poll_slice()).map_err(|_| e),
+        }
+    }
+
+    /// Revoke a lease nobody claimed (`true`), or wait until a claimed
+    /// one is done (`false`).
+    fn release(&self) -> bool {
+        match self.state.compare_exchange(
+            LEASE_POSTED,
+            LEASE_REVOKED,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => true,
+            Err(LEASE_CLAIMED) => {
+                while self.state.load(Ordering::Acquire) != LEASE_DONE {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                false
+            }
+            Err(state) => state == LEASE_REVOKED,
+        }
+    }
+}
+
+impl Drop for LeaseTicket {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 
@@ -779,6 +977,70 @@ mod tests {
     }
 
     #[test]
+    fn empty_take_keeps_a_large_buffer_initialized() {
+        const MIB: usize = 1 << 20;
+        let pool = PayloadPool::new();
+        let mut a = pool.take(MIB);
+        a.fill(0x5A);
+        let ptr = a.as_ptr();
+        drop(a);
+        // A zero-byte message borrows the buffer and gives it back...
+        drop(pool.take(0));
+        // ...without shrinking it: the next large take reuses the same
+        // allocation, contents untouched, with no memset.
+        let b = pool.take(MIB);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.len(), MIB);
+        assert!(b.iter().all(|&x| x == 0x5A));
+    }
+
+    #[test]
+    fn take_picks_the_best_fit() {
+        let pool = PayloadPool::new();
+        let (big, small) = (pool.take(4096), pool.take(64));
+        let (big_ptr, small_ptr) = (big.as_ptr(), small.as_ptr());
+        drop(big);
+        drop(small);
+        // The smallest buffer that fits, so a small message never takes
+        // the large buffer from a large one.
+        let s = pool.take(32);
+        assert_eq!(s.as_ptr(), small_ptr);
+        let b = pool.take(1024);
+        assert_eq!(b.as_ptr(), big_ptr);
+    }
+
+    #[test]
+    fn lease_claim_and_revoke_exclude_each_other() {
+        let buf: Vec<u8> = (0..16).collect();
+        let t = Datatype::byte();
+        // A revoked lease can no longer be claimed.
+        let (lease, ticket) = Lease::new(&buf, 0, &t, 16, 16);
+        let (tx, rx) = reply_channel();
+        let failed = ticket.settle(Err(CoreError::PeerFailed { rank: 1 }), &rx);
+        assert!(matches!(failed, Err(CoreError::PeerFailed { rank: 1 })));
+        assert!(lease.claim(Some((tx, 1.0))).is_none());
+        // A failed wait on a claimed lease waits for the copy and takes
+        // the completion the receiver's guard sends.
+        let (lease, ticket) = Lease::new(&buf, 0, &t, 16, 16);
+        let (tx, rx) = reply_channel();
+        let claimed = lease.claim(Some((tx, 2.0))).expect("posted lease");
+        assert_eq!(claimed.src(), &buf[..]);
+        let copied = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let copier = {
+            let copied = Arc::clone(&copied);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                copied.store(true, Ordering::Release);
+                drop(claimed);
+            })
+        };
+        let settled = ticket.settle(Err(CoreError::PeerFailed { rank: 1 }), &rx);
+        assert!(copied.load(Ordering::Acquire), "settled before the copy finished");
+        assert!(matches!(settled, Ok(t) if t == 2.0), "{settled:?}");
+        copier.join().unwrap();
+    }
+
+    #[test]
     fn poisoned_buffer_is_never_recycled() {
         let pool = PayloadPool::new();
         let mut a = pool.take(256);
@@ -804,6 +1066,7 @@ mod tests {
         for _ in 0..(PayloadPool::QUARANTINE_CAP + 10) {
             let mut b = PooledBuf {
                 buf: vec![0u8; 32],
+                len: 32,
                 pool: Some(Arc::clone(&pool)),
                 poisoned: false,
             };

@@ -48,49 +48,7 @@ impl SendRequest {
                 Ok(())
             }
             SendState::Pending(rx) => {
-                let sup = std::sync::Arc::clone(&comm.fabric().supervision);
-                let me = comm.world_rank();
-                let deadline = Instant::now() + sup.timeout();
-                sup.set_blocked(me, Some("rendezvous completion"));
-                let mut spins = SPIN_ROUNDS;
-                let res = loop {
-                    let now = Instant::now();
-                    if let Some(rank) = sup.failed_rank() {
-                        // A queued completion still wins over poison.
-                        if let Ok(done) = rx.try_recv() {
-                            break Ok(done);
-                        }
-                        break Err(CoreError::PeerFailed { rank });
-                    }
-                    if now >= deadline {
-                        break Err(CoreError::deadlock("rendezvous completion"));
-                    }
-                    // Spin briefly before parking: rendezvous replies
-                    // usually land within microseconds of the wait.
-                    if spins > 0 {
-                        spins -= 1;
-                        if let Ok(done) = rx.try_recv() {
-                            break Ok(done);
-                        }
-                        spin_round();
-                        continue;
-                    }
-                    let slice = (deadline - now).min(poll_slice());
-                    match rx.recv_timeout(slice) {
-                        Ok(done) => break Ok(done),
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            // The receiver dropped the envelope without
-                            // replying — its rank failed mid-receive.
-                            break match sup.failed_rank() {
-                                Some(rank) => Err(CoreError::PeerFailed { rank }),
-                                None => Err(CoreError::deadlock("rendezvous completion")),
-                            };
-                        }
-                    }
-                };
-                sup.set_blocked(me, None);
-                let done = res.map_err(|e| comm.fabric().enrich(e))?;
+                let done = await_reply(comm, &rx)?;
                 comm.clock.sync_to(done);
                 Ok(())
             }
@@ -210,6 +168,54 @@ impl SendRequest {
             },
         }
     }
+}
+
+/// Block until the rendezvous reply on `rx` arrives and return the
+/// completion time it carries. Fails as [`SendRequest::wait`] does.
+pub(crate) fn await_reply(comm: &Comm, rx: &Receiver<f64>) -> Result<f64> {
+    let sup = std::sync::Arc::clone(&comm.fabric().supervision);
+    let me = comm.world_rank();
+    let deadline = Instant::now() + sup.timeout();
+    sup.set_blocked(me, Some("rendezvous completion"));
+    let mut spins = SPIN_ROUNDS;
+    let res = loop {
+        let now = Instant::now();
+        if let Some(rank) = sup.failed_rank() {
+            // A queued completion still wins over poison.
+            if let Ok(done) = rx.try_recv() {
+                break Ok(done);
+            }
+            break Err(CoreError::PeerFailed { rank });
+        }
+        if now >= deadline {
+            break Err(CoreError::deadlock("rendezvous completion"));
+        }
+        // Spin briefly before parking: rendezvous replies usually land
+        // within microseconds of the wait.
+        if spins > 0 {
+            spins -= 1;
+            if let Ok(done) = rx.try_recv() {
+                break Ok(done);
+            }
+            spin_round();
+            continue;
+        }
+        let slice = (deadline - now).min(poll_slice());
+        match rx.recv_timeout(slice) {
+            Ok(done) => break Ok(done),
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => {
+                // The receiver dropped the envelope without replying —
+                // its rank failed mid-receive.
+                break match sup.failed_rank() {
+                    Some(rank) => Err(CoreError::PeerFailed { rank }),
+                    None => Err(CoreError::deadlock("rendezvous completion")),
+                };
+            }
+        }
+    };
+    sup.set_blocked(me, None);
+    res.map_err(|e| comm.fabric().enrich(e))
 }
 
 /// Handle on a posted nonblocking receive. Holds the destination buffer

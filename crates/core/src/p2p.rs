@@ -12,7 +12,12 @@
 //!   and the transfer proceeds asynchronously — at a measurable extra cost
 //!   (§4.2).
 //!
-//! Payload bytes genuinely move; receivers can verify every byte.
+//! "Staged through an internal buffer" describes the virtual-time model.
+//! Payload bytes genuinely move, and receivers can verify every byte, but
+//! on the host a blocking `send` or `ssend` on the rendezvous path lends
+//! its user buffer instead of staging it ([`Payload::Lent`]): the
+//! receiver moves the bytes once, straight into its receive buffer, while
+//! the sender stays blocked. The charges are the staged path's either way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,7 +29,10 @@ use nonctg_simnet::{Access, Platform};
 
 use crate::comm::{CacheState, Comm};
 use crate::error::{CoreError, Result};
-use crate::fabric::{poll_slice, reply_channel, Envelope, OpRecord, Payload, PooledBuf, Protocol};
+use crate::fabric::{
+    poll_slice, reply_channel, Claimed, Envelope, Lease, OpRecord, Payload, PayloadPool, PooledBuf,
+    Protocol,
+};
 use crate::nonblocking::{SendRequest, SendState};
 use crate::route::{self, BufferSource, FaultSite, Path, RouteInput, SendMode, Staging, Step};
 use crate::selector::RegionShape;
@@ -304,20 +312,28 @@ impl Comm {
         let eager = route.path == Path::Eager;
         let contiguous = input.contiguous;
 
-        // Real data movement: stage the payload contiguously. The staging
-        // buffer comes from (and returns to) the fabric's payload pool,
-        // so steady-state sends allocate nothing; under pool exhaustion
-        // the ladder drops to a plain owned allocation (never pooled).
-        let mut packed = self.staging_buf(route.buffer, bytes as usize);
-        route.staging.pack(buf, origin, dtype, count, &mut packed)?;
-        if let Some(idx) = corrupt_idx {
-            packed[idx] ^= 0xFF;
-            // Corrupted payload bytes must never linger in a recycled
-            // staging buffer: quarantine the allocation on drop.
-            packed.poison();
-        }
-        let payload = Payload::Whole(packed);
+        // Real data movement. A lent send stages nothing: the receiver
+        // moves the bytes straight from `buf` (see `lend`). Otherwise the
+        // payload is staged contiguously in a buffer from (and back to)
+        // the fabric's payload pool, so steady-state sends allocate
+        // nothing; under pool exhaustion the ladder drops to a plain owned
+        // allocation (never pooled).
+        let staged = if route.lend {
+            None
+        } else {
+            let mut packed = self.staging_buf(route.buffer, bytes as usize);
+            route.staging.pack(buf, origin, dtype, count, &mut packed)?;
+            if let Some(idx) = corrupt_idx {
+                packed[idx] ^= 0xFF;
+                // Corrupted payload bytes must never linger in a recycled
+                // staging buffer: quarantine the allocation on drop.
+                packed.poison();
+            }
+            Some(Payload::Whole(packed))
+        };
         let mut bsend_release = None;
+        // The rendezvous back-channel, when the sender waits for one.
+        let mut pending = None;
         let protocol = match mode {
             SendMode::Standard | SendMode::Synchronous if contiguous => {
                 // Reference path: NIC streams the buffer, reads overlap the
@@ -330,14 +346,13 @@ impl Comm {
                     Protocol::Eager { avail: self.clock.now() + p.net.latency }
                 } else {
                     let (tx, rx) = reply_channel();
-                    let proto = Protocol::Rendezvous {
+                    pending = Some(rx);
+                    Protocol::Rendezvous {
                         sender_ready: self.clock.now(),
                         // The pipelined injection *is* the transfer.
                         wire: inject,
                         reply: tx,
-                    };
-                    self.post(dst, tag, payload, sig, proto, None);
-                    return Ok(SendRequest::new(SendState::Pending(rx)));
+                    }
                 }
             }
             SendMode::Standard | SendMode::Synchronous => {
@@ -353,13 +368,8 @@ impl Comm {
                     Protocol::Eager { avail: self.clock.now() + p.net.latency + wire }
                 } else {
                     let (tx, rx) = reply_channel();
-                    let proto = Protocol::Rendezvous {
-                        sender_ready: self.clock.now(),
-                        wire,
-                        reply: tx,
-                    };
-                    self.post(dst, tag, payload, sig, proto, None);
-                    return Ok(SendRequest::new(SendState::Pending(rx)));
+                    pending = Some(rx);
+                    Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: tx }
                 }
             }
             SendMode::Buffered => {
@@ -388,8 +398,41 @@ impl Comm {
             }
         };
 
+        let Some(payload) = staged else {
+            let rx = pending.expect("only a rendezvous lends");
+            return self
+                .lend(buf, origin, dtype, count, bytes as usize, dst, tag, sig, protocol, rx);
+        };
         self.post(dst, tag, payload, sig, protocol, bsend_release);
-        Ok(SendRequest::new(SendState::Done(self.clock.now())))
+        Ok(SendRequest::new(match pending {
+            Some(rx) => SendState::Pending(rx),
+            None => SendState::Done(self.clock.now()),
+        }))
+    }
+
+    /// Lend `buf` to the receiver instead of staging it: post a lease on
+    /// `count` x `dtype` at `origin`, block until the rendezvous
+    /// completes, and settle the lease before returning, so no borrow of
+    /// `buf` outlives this call. The receiver replies only after its copy.
+    #[allow(clippy::too_many_arguments)]
+    fn lend(
+        &mut self,
+        buf: &[u8],
+        origin: usize,
+        dtype: &Datatype,
+        count: usize,
+        bytes: usize,
+        dst: usize,
+        tag: i32,
+        sig: nonctg_datatype::Signature,
+        protocol: Protocol,
+        reply: Receiver<f64>,
+    ) -> Result<SendRequest> {
+        let (lease, ticket) = Lease::new(buf, origin, dtype, count, bytes);
+        self.post(dst, tag, Payload::Lent(lease), sig, protocol, None);
+        let res = crate::nonblocking::await_reply(self, &reply);
+        let done = ticket.settle(res, &reply)?;
+        Ok(SendRequest::new(SendState::Done(done)))
     }
 
     /// Count and trace one route step at the current virtual time.
@@ -791,21 +834,26 @@ impl Comm {
             }
         }
 
-        // Timing.
-        match &env.protocol {
+        // Timing. The sender unblocks when the transfer completes: at
+        // once for a staged payload, after the copy for a lent one.
+        let mut lent_reply = None;
+        match env.protocol {
             Protocol::Eager { avail } => {
-                self.clock.sync_to(*avail);
+                self.clock.sync_to(avail);
             }
             Protocol::Rendezvous { sender_ready, wire, reply } => {
-                let start = t_post.max(*sender_ready) + p.proto.rndv_extra;
-                let done = start + p.net.latency + *wire;
-                // Sender unblocks when the transfer completes.
-                let _ = reply.send(done);
+                let start = t_post.max(sender_ready) + p.proto.rndv_extra;
+                let done = start + p.net.latency + wire;
+                if matches!(env.payload, Payload::Lent(_)) {
+                    lent_reply = Some((reply, done));
+                } else {
+                    let _ = reply.send(done);
+                }
                 self.clock.sync_to(done);
             }
             Protocol::AsyncRendezvous { sender_ready, wire } => {
-                let start = t_post.max(*sender_ready) + p.proto.rndv_extra;
-                self.clock.sync_to(start + p.net.latency + *wire);
+                let start = t_post.max(sender_ready) + p.proto.rndv_extra;
+                self.clock.sync_to(start + p.net.latency + wire);
             }
         }
         self.charge_exact(p.proto.eager_overhead);
@@ -828,6 +876,21 @@ impl Comm {
         match env.payload {
             Payload::Whole(data) => {
                 let consumed = dt::unpack_from(&data, dtype, incoming_count, buf, origin)?;
+                crate::invariants::check_recv_conservation(
+                    total,
+                    consumed,
+                    dtype.size() as usize,
+                );
+            }
+            Payload::Lent(lease) => {
+                // The guard marks the lease done and replies on every
+                // exit, so an unpack error still releases the sender.
+                let lent = lease.claim(lent_reply.take()).ok_or(CoreError::Cancelled {
+                    what: "lent send (its sender gave up before the match)",
+                })?;
+                let pool = &self.fabric().pool;
+                let consumed =
+                    deliver_lent(&lent, total, pool, dtype, incoming_count, buf, origin)?;
                 crate::invariants::check_recv_conservation(
                     total,
                     consumed,
@@ -1113,4 +1176,56 @@ impl Comm {
         let me = self.global_rank(self.rank());
         self.fabric().mailboxes[me].probe(self.context(), src, tag)
     }
+}
+
+/// Move a lent payload of `total` packed bytes into the receive buffer,
+/// in one copy wherever a layout allows it: the receive plan unpacks
+/// straight from a contiguous send slice, or the send plan packs straight
+/// into a contiguous receive slice. Only two non-contiguous layouts stage
+/// through `pool`, which is the work a staged send does. Returns the
+/// bytes consumed, as [`dt::unpack_from`] does.
+fn deliver_lent(
+    lent: &Claimed,
+    total: usize,
+    pool: &Arc<PayloadPool>,
+    dtype: &Datatype,
+    count: usize,
+    buf: &mut [u8],
+    origin: usize,
+) -> Result<usize> {
+    let (src, src_origin, src_dtype, src_count) =
+        (lent.src(), lent.origin(), lent.dtype(), lent.count());
+    if let Some(run) = contiguous_run(src_origin, src_dtype, src_count, total, src.len()) {
+        return Ok(dt::unpack_from(&src[run], dtype, count, buf, origin)?);
+    }
+    if let Some(run) = contiguous_run(origin, dtype, count, total, buf.len()) {
+        return Ok(dt::pack_into(src, src_origin, src_dtype, src_count, &mut buf[run])?);
+    }
+    let mut staged = pool.take(total);
+    dt::pack_into(src, src_origin, src_dtype, src_count, &mut staged)?;
+    Ok(dt::unpack_from(&staged, dtype, count, buf, origin)?)
+}
+
+/// The byte range of `count` x `dtype` at `origin` in a buffer of
+/// `buf_len` bytes, when it is one in-bounds run of exactly `len` bytes:
+/// the slice a plan can copy to or from directly.
+fn contiguous_run(
+    origin: usize,
+    dtype: &Datatype,
+    count: usize,
+    len: usize,
+    buf_len: usize,
+) -> Option<std::ops::Range<usize>> {
+    if !dtype.is_contiguous_run(count as u64) {
+        return None;
+    }
+    let span = dt::user_span(dtype, count);
+    let Some((lo, hi)) = span else {
+        return (len == 0).then_some(0..0);
+    };
+    if hi - lo != len as i128 || dt::check_span(origin, span, buf_len).is_err() {
+        return None;
+    }
+    let from = (origin as i128 + lo) as usize;
+    Some(from..from + len)
 }

@@ -159,8 +159,10 @@ impl Window {
         let access = Access::classify(dtype);
         let warm = comm.is_warm();
 
-        // Real data: pack origin layout, deposit into the target window.
-        let payload = dt::pack(buf, origin, dtype, count)?;
+        // Real data: pack the origin layout straight into the target
+        // window. The origin buffer is checked first, so a short one
+        // reports `OutOfBounds` before the window range is looked at.
+        dt::check_span(origin, dt::user_span(dtype, count), buf.len())?;
         {
             let mut mem = self.state.mems[target].lock();
             let end = target_disp + bytes;
@@ -171,7 +173,7 @@ impl Window {
                     window: mem.len(),
                 });
             }
-            mem[target_disp..end].copy_from_slice(&payload);
+            dt::pack_into(buf, origin, dtype, count, &mut mem[target_disp..end])?;
         }
 
         // Origin CPU is busy for the overhead plus any gather staging;
@@ -230,7 +232,8 @@ impl Window {
         let p = comm.platform().clone();
         let access = Access::classify(dtype);
 
-        let packed = {
+        // Real data: unpack straight from the target window.
+        {
             let mem = self.state.mems[target].lock();
             let end = target_disp + bytes;
             if end > mem.len() {
@@ -240,9 +243,8 @@ impl Window {
                     window: mem.len(),
                 });
             }
-            mem[target_disp..end].to_vec()
-        };
-        dt::unpack_from(&packed, dtype, count, buf, origin)?;
+            dt::unpack_from(&mem[target_disp..end], dtype, count, buf, origin)?;
+        }
 
         let scatter = match access {
             Access::Contiguous => 0.0,

@@ -302,6 +302,9 @@ pub(crate) struct SendRoute {
     /// Link-degradation latency multiplier (1 = none).
     pub latency_factor: f64,
     pub steps: Vec<Step>,
+    /// Lend the user buffer to the receiver instead of staging it
+    /// ([`lends`]).
+    pub lend: bool,
 }
 
 /// Parallel pack: more than one worker and a payload at or above the
@@ -359,6 +362,7 @@ pub(crate) fn route(i: &RouteInput, fault: Option<FaultSite>) -> Result<SendRout
         corrupt: None,
         latency_factor: 1.0,
         steps: Vec::new(),
+        lend: false,
     };
     let mut stream = i.stream_candidate() && i.stream_plan;
     if let Some(f) = fault {
@@ -432,7 +436,24 @@ pub(crate) fn route(i: &RouteInput, fault: Option<FaultSite>) -> Result<SendRout
     if stream {
         r.path = Path::Chunked;
     }
+    r.lend = lends(i, &r);
     Ok(r)
+}
+
+/// Whether a decided route lends the user buffer to the receiver instead
+/// of staging it. Only a blocking standard or synchronous send
+/// (`may_stream`, which also keeps `isend` off the chunk stream) on the
+/// monolithic rendezvous lends, and only when its bytes go out clean
+/// through the cached plan: no corrupt byte, no owned buffers, no serial
+/// plan or segment walk. Faults that only move virtual time (retries,
+/// delay, link degradation) still lend.
+fn lends(i: &RouteInput, r: &SendRoute) -> bool {
+    i.may_stream
+        && i.mode != SendMode::Buffered
+        && r.path == Path::Rendezvous
+        && r.corrupt.is_none()
+        && r.buffer == BufferSource::Pooled
+        && r.staging == Staging::Plan
 }
 
 #[cfg(test)]
@@ -767,6 +788,78 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn only_clean_blocking_rendezvous_lends() {
+        let base = input(Datapath::Pack);
+        let lends = |i: &RouteInput| clean(i).lend;
+        // Blocking standard and synchronous rendezvous, either layout.
+        assert!(lends(&base));
+        assert!(lends(&RouteInput { mode: SendMode::Synchronous, ..base.clone() }));
+        assert!(lends(&RouteInput { contiguous: true, ..base.clone() }));
+        // An isend, a bsend, an eager send, a chunk stream, an iovec
+        // send and the segment walk never lend.
+        let never = [
+            RouteInput { may_stream: false, ..base.clone() },
+            RouteInput { mode: SendMode::Buffered, may_stream: false, ..base.clone() },
+            RouteInput { mode: SendMode::Buffered, ..base.clone() },
+            RouteInput { bytes: 4096, ..base.clone() },
+            RouteInput { bytes: 8 * MIB, ..base.clone() },
+            input(Datapath::Iov),
+            input(Datapath::Elem),
+        ];
+        for i in &never {
+            assert!(!lends(i), "{:?}", path_staging(&clean(i)));
+        }
+        // A synchronous send lends at any size, eager-sized included.
+        assert!(lends(&RouteInput { mode: SendMode::Synchronous, bytes: 4096, ..base.clone() }));
+
+        // Faults: a corrupt byte, owned buffers, the serial plan and the
+        // segment walk force staging; faults that only move virtual time
+        // do not.
+        let staged = [
+            FaultPlan::quiet(1).with_corruption(1.0),
+            FaultPlan::quiet(1).with_pool_exhaustion(1.0),
+            FaultPlan::quiet(1).with_pack_worker_failures(1.0),
+            FaultPlan::quiet(1).with_plan_failures(1.0),
+        ];
+        for plan in &staged {
+            let r = faulty(&base, plan);
+            assert_eq!(r.path, Path::Rendezvous);
+            assert!(!r.lend, "{:?}", path_staging(&r));
+        }
+        let timed = [
+            FaultPlan::quiet(1).with_delays(1.0, 1e-3),
+            FaultPlan::quiet(1).with_link_degradation(0, 100, 4.0),
+        ];
+        for plan in &timed {
+            let r = faulty(&base, plan);
+            assert!(r.delay > 0.0 || r.latency_factor > 1.0);
+            assert!(r.lend);
+        }
+
+        // Over a chaos schedule a route lends exactly when the rule holds,
+        // and retried sends still lend.
+        let mut retried_lends = 0;
+        for seed in 0..16 {
+            let plan = FaultPlan::chaos(seed)
+                .with_send_failures(0.5)
+                .with_corruption(0.2)
+                .with_pool_exhaustion(0.2)
+                .with_plan_failures(0.2)
+                .with_pack_worker_failures(0.2);
+            for op in 0..32 {
+                let r = faulty(&RouteInput { bytes: MIB + op, ..base.clone() }, &plan);
+                let rule = r.path == Path::Rendezvous
+                    && r.corrupt.is_none()
+                    && r.buffer == BufferSource::Pooled
+                    && r.staging == Staging::Plan;
+                assert_eq!(r.lend, rule, "seed {seed} op {op}: {r:?}");
+                retried_lends += usize::from(r.lend && r.retries > 0);
+            }
+        }
+        assert!(retried_lends > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! movement, protocol semantics, and virtual-time invariants.
 
 use nonctg_core::{CoreError, Universe};
-use nonctg_datatype::{as_bytes, as_bytes_mut, ArrayOrder, Datatype};
+use nonctg_datatype::{as_bytes, as_bytes_mut, ArrayOrder, Datatype, DatatypeError};
 use nonctg_simnet::Platform;
 
 /// A platform with jitter disabled, for exact-time assertions.
@@ -565,6 +565,13 @@ fn put_out_of_range_rejected() {
             let err = win
                 .put(comm, as_bytes(&[1.0f64, 2.0]), 0, &t, 2, 1, 8)
                 .unwrap_err();
+            assert!(matches!(err, CoreError::RmaOutOfRange { .. }));
+            // A short origin buffer is reported first, before the range;
+            // a get checks the window range before its origin buffer.
+            let err = win.put(comm, as_bytes(&[1.0f64]), 0, &t, 2, 1, 8).unwrap_err();
+            assert!(matches!(err, CoreError::Datatype(DatatypeError::OutOfBounds { .. })));
+            let mut short = [0u8; 8];
+            let err = win.get(comm, &mut short, 0, &t, 2, 1, 8).unwrap_err();
             assert!(matches!(err, CoreError::RmaOutOfRange { .. }));
         }
         win.fence(comm).unwrap();
