@@ -1,7 +1,8 @@
-//! Wall-clock benchmarks of the send datapath: monolithic vs. pipelined
-//! chunked rendezvous across message sizes, and the pool-backed eager
-//! path. Virtual-time results are identical by construction (see
-//! `chunk_props`); this group tracks what the pipelining actually buys
+//! Wall-clock benchmarks of the send datapath: a lent blocking rendezvous
+//! (the receiver copies straight from the sender's buffer) against the
+//! same send staged through `isend` + `wait`, across message sizes, and
+//! the pool-backed eager path. Virtual-time results are identical by
+//! construction (see `chunk_props`); this group tracks what lending buys
 //! in host wall-clock, which is what figure regeneration time is made of.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -10,14 +11,19 @@ use nonctg_datatype::{as_bytes, Datatype};
 use nonctg_simnet::Platform;
 
 /// One strided-vector rendezvous ping (plus a zero-byte ack so both ranks
-/// finish together) through a fresh two-rank universe.
-fn vector_ping(platform: &Platform, bytes: usize) {
+/// finish together) through a fresh two-rank universe, lent by a
+/// blocking send or staged by `isend`.
+fn vector_ping(platform: &Platform, bytes: usize, lent: bool) {
     let elems = bytes / 8;
     Universe::run_pair(platform.clone(), move |comm| {
         if comm.rank() == 0 {
             let src = vec![1.0f64; 2 * elems];
             let t = Datatype::vector(elems, 1, 2, &Datatype::f64()).unwrap().commit();
-            comm.send(as_bytes(&src), 0, &t, 1, 1, 1).unwrap();
+            if lent {
+                comm.send(as_bytes(&src), 0, &t, 1, 1, 1).unwrap();
+            } else {
+                comm.isend(as_bytes(&src), 0, &t, 1, 1, 1).unwrap().wait(comm).unwrap();
+            }
             let mut ack = [0.0f64; 0];
             comm.recv_slice(&mut ack, Some(1), Some(2)).unwrap();
         } else {
@@ -32,18 +38,15 @@ fn vector_ping(platform: &Platform, bytes: usize) {
 fn bench_rendezvous(c: &mut Criterion) {
     let mut g = c.benchmark_group("datapath");
     g.sample_size(10);
-    let mono = Platform::skx_impi().without_pipeline();
-    // Threshold 1 streams every size so the small points compare the two
-    // paths too; the chunk size is the production default (2 MiB).
-    let chunked = Platform::skx_impi().with_pipeline(1, 2 << 20);
-    for shift in [16usize, 20, 24, 27] {
+    let platform = Platform::skx_impi();
+    for shift in [17usize, 20, 24, 27] {
         let bytes = 1usize << shift;
         g.throughput(Throughput::Bytes(bytes as u64));
-        g.bench_with_input(BenchmarkId::new("monolithic", bytes), &bytes, |b, &n| {
-            b.iter(|| vector_ping(&mono, n));
+        g.bench_with_input(BenchmarkId::new("lent", bytes), &bytes, |b, &n| {
+            b.iter(|| vector_ping(&platform, n, true));
         });
-        g.bench_with_input(BenchmarkId::new("chunked", bytes), &bytes, |b, &n| {
-            b.iter(|| vector_ping(&chunked, n));
+        g.bench_with_input(BenchmarkId::new("staged", bytes), &bytes, |b, &n| {
+            b.iter(|| vector_ping(&platform, n, false));
         });
     }
     g.finish();

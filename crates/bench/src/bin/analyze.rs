@@ -1,23 +1,16 @@
-//! Critical-path and pipeline-bubble analysis of an instrumented run,
-//! recorded under `analysis_out/`.
+//! Critical-path analysis of an instrumented run, recorded under
+//! `analysis_out/`.
 //!
 //! Runs the standard observability workload — a two-rank vector-type
 //! ping-pong over [`OBS_ELEMS`] elements — with tracing and metrics on,
-//! forced through the staged (pack) datapath with a small chunk size so
-//! the pipelined rendezvous produces a long chunk stream, then:
+//! forced through the staged (pack) datapath, then:
 //!
 //! 1. computes the virtual-time **critical path** through the traced
 //!    event DAG and *asserts* its edge sum is bit-equal to the run's
 //!    traced elapsed time (the edges tile the run exactly — any gap or
 //!    overlap is a bug in the tracer or the analyzer);
-//! 2. computes the **pipeline report** for the receiver — overlap
-//!    efficiency from chunk-ring occupancy (chunk virtual timestamps
-//!    within a transfer are degenerate by design, so occupancy is the
-//!    only honest signal), ring-stall time, bubble time (asserted to
-//!    partition the receiver's elapsed window exactly), and carry-buffer
-//!    dead time priced at the measured memcpy roofline;
-//! 3. writes `analysis.json`, `gantt.svg`, and `gantt.txt`, and prints
-//!    the ASCII gantt.
+//! 2. writes `analysis.json`, `gantt.svg` (with per-rank bubble shares),
+//!    and `gantt.txt`, and prints the ASCII gantt.
 //!
 //! Exits non-zero if any invariant fails.
 //!
@@ -26,34 +19,15 @@
 use std::fs;
 use std::path::PathBuf;
 
-use nonctg_bench::{events_to_spans, memcpy_reference, OBS_ELEMS};
-use nonctg_report::analysis::{critical_path, gantt_ascii, gantt_svg, pipeline_report};
+use nonctg_bench::{events_to_spans, OBS_ELEMS};
+use nonctg_report::analysis::{critical_path, gantt_ascii, gantt_svg};
 use nonctg_schemes::{try_run_scheme_observed, Observe, PingPongConfig, Scheme, Workload};
-use nonctg_simnet::Platform;
-
-/// Chunk size forced for this run: 128 KiB over the ~4 MiB packed
-/// payload yields a ~32-chunk stream, long enough that the ring-depth
-/// occupancy statistic is meaningful.
-const CHUNK_BYTES: &str = "131072";
-/// Streaming threshold forced well below the payload.
-const THRESHOLD_BYTES: &str = "1048576";
-
-fn set_default(key: &str, value: &str) {
-    if std::env::var_os(key).is_none() {
-        std::env::set_var(key, value);
-    }
-}
+use nonctg_simnet::{Datapath, Platform};
 
 fn main() {
     let out_dir = PathBuf::from(std::env::args().nth(1).unwrap_or_else(|| "analysis_out".into()));
 
-    // Must happen before any platform/selector use: both specs are
-    // resolved once per process.
-    set_default("NONCTG_PIPELINE_CHUNK", CHUNK_BYTES);
-    set_default("NONCTG_PIPELINE_THRESHOLD", THRESHOLD_BYTES);
-    set_default("NONCTG_DATAPATH", "pack");
-
-    let platform = Platform::skx_impi();
+    let platform = Platform::skx_impi().with_datapath(Datapath::Pack);
     let w = Workload::every_other(OBS_ELEMS);
     let cfg = PingPongConfig { reps: 3, ..PingPongConfig::default() };
     let run = try_run_scheme_observed(&platform, Scheme::VectorType, &w, &cfg, Observe::ALL)
@@ -99,52 +73,9 @@ fn main() {
         println!("    {phase:>8}: {secs:.3e} s");
     }
 
-    // -- pipeline report ----------------------------------------------
-    let copy_bw = memcpy_reference(4 << 20, 0.1);
-    let receiver = 1;
-    let report = pipeline_report(
-        &spans,
-        &path,
-        receiver,
-        nonctg_core::CHUNK_RING_DEPTH as u32,
-        Some(copy_bw),
-    )
-    .expect("receiver drained no chunks — pipeline did not engage");
-    println!(
-        "  pipeline: {} chunks, mean ring depth {:.3}, overlap efficiency {:.3}, \
-         primed {:.1}%, receiver on path {:.3e} s, ring stall {:.3e} s, bubbles {:.3e} s, \
-         carry {} B ({:.3e} s dead at {:.2} GB/s memcpy)",
-        report.chunks,
-        report.mean_depth,
-        report.overlap_efficiency,
-        100.0 * report.primed_fraction,
-        report.critical_on_receiver_s,
-        report.ring_stall_s,
-        report.bubble_s,
-        report.carry_bytes,
-        report.carry_dead_s.unwrap_or(0.0),
-        copy_bw / 1e9
-    );
-    check(report.overlap_efficiency > 0.0, "overlap efficiency > 0 (ring actually primed)");
-    check(
-        report.overlap_efficiency < 1.0,
-        "overlap efficiency < 1 (final drain always lands at depth 1)",
-    );
-    check(report.tiling_exact, "clipped critical path tiles the receiver window bit-exactly");
-    check(
-        (report.critical_on_receiver_s + report.bubble_s).to_bits()
-            == report.receiver_elapsed_s.to_bits(),
-        "receiver's critical share + bubbles partition its elapsed time",
-    );
-    check(report.bubble_s > 0.0, "bubbles are visible (receiver never owns the whole window)");
-
     // -- artifacts ----------------------------------------------------
     fs::create_dir_all(&out_dir).expect("create analysis output dir");
-    let json = format!(
-        "{{\n\"critical_path\": {},\n\"pipeline\": {}\n}}\n",
-        path.to_json().trim_end(),
-        report.to_json()
-    );
+    let json = format!("{{\n\"critical_path\": {}\n}}\n", path.to_json().trim_end());
     fs::write(out_dir.join("analysis.json"), json).expect("write analysis.json");
     fs::write(out_dir.join("gantt.svg"), gantt_svg(&spans, &path, &names)).expect("write gantt.svg");
     let art = gantt_ascii(&spans, &path, 100);

@@ -1,38 +1,34 @@
-//! Baseline wall-clock numbers for the pipelined datapath, recorded as
+//! Baseline numbers for the send datapath, recorded as
 //! `BENCH_datapath.json`.
 //!
-//! Three experiments. The first two compare wall-clock with virtual-time
-//! output proven identical elsewhere (`chunk_props`,
-//! `sharded_sweep_matches_sequential_bit_for_bit`); the third checks the
-//! adaptive engine selector against measured virtual time:
+//! Two experiments. The first compares wall-clock with virtual-time
+//! output proven identical elsewhere
+//! (`sharded_sweep_matches_sequential_bit_for_bit`); the second checks
+//! the adaptive engine selector against measured virtual time:
 //!
-//! 1. A 2^27-byte strided-vector ping-pong, monolithic vs. chunked
-//!    rendezvous — the chunked path overlaps sender-side packing of chunk
-//!    k+1 with receiver-side in-place unpacking of chunk k.
-//! 2. A reduced scheme sweep, serial vs. four statically-partitioned
+//! 1. A reduced scheme sweep, serial vs. four statically-partitioned
 //!    shards on concurrent rank pairs.
-//! 3. Per-platform pack-vs-iovec virtual-time crossover: a 900-region
+//! 2. Per-platform pack-vs-iovec virtual-time crossover: a 900-region
 //!    rendezvous send at increasing region lengths, forced through each
 //!    engine, locating the region size where zero-copy iovec overtakes
 //!    the staged pack. The engine auto mode selects must be the measured
 //!    winner at every probed point (the run aborts if it isn't), however
 //!    close the two engines are.
 //!
-//! Speedups in 1–2 depend on host parallelism: with a single hardware
-//! thread the overlap cannot pay and the recorded ratio hovers near (or
+//! The speedup in 1 depends on host parallelism: with a single hardware
+//! thread the shards cannot pay and the recorded ratio hovers near (or
 //! below) 1. The JSON records `host_threads` so a reader can tell.
-//! Experiment 3 is virtual-time only and host-independent.
+//! Experiment 2 is virtual-time only and host-independent.
 //!
 //! Usage: `datapath_baseline [OUT.json]` (default `BENCH_datapath.json`).
 
 use std::time::Instant;
 
 use nonctg_core::Universe;
-use nonctg_datatype::{as_bytes, Datatype};
+use nonctg_datatype::Datatype;
 use nonctg_schemes::{run_sweep, run_sweep_sharded, PingPongConfig, Scheme, SweepConfig};
 use nonctg_simnet::{Datapath, Platform};
 
-const PING_BYTES: usize = 1 << 27;
 const SWEEP_SHARDS: usize = 4;
 /// Region count of the crossover probe: under the iovec cap, and large
 /// enough that every probed length is a rendezvous message everywhere.
@@ -40,36 +36,6 @@ const XOVER_REGIONS: usize = 900;
 /// Region lengths (bytes) the crossover probe visits, straddling every
 /// platform's crossover.
 const XOVER_LENS: [usize; 9] = [96, 128, 160, 176, 192, 256, 512, 1024, 4096];
-
-/// Wall seconds for `reps` strided rendezvous pings in one universe.
-fn pingpong_wall(platform: &Platform, bytes: usize, reps: usize) -> f64 {
-    let elems = bytes / 8;
-    let t0 = Instant::now();
-    Universe::run_pair(platform.clone(), move |comm| {
-        if comm.rank() == 0 {
-            let src = vec![1.0f64; 2 * elems];
-            let t = Datatype::vector(elems, 1, 2, &Datatype::f64()).unwrap().commit();
-            let mut ack = [0.0f64; 0];
-            for _ in 0..reps {
-                comm.send(as_bytes(&src), 0, &t, 1, 1, 1).unwrap();
-                comm.recv_slice(&mut ack, Some(1), Some(2)).unwrap();
-            }
-        } else {
-            let mut dst = vec![0.0f64; elems];
-            for _ in 0..reps {
-                comm.recv_slice(&mut dst, Some(0), Some(1)).unwrap();
-                comm.send_slice::<f64>(&[], 0, 2).unwrap();
-            }
-        }
-        comm.wtime()
-    });
-    t0.elapsed().as_secs_f64()
-}
-
-/// Best of two timed runs (first run also warms the page cache / pools).
-fn best_of_two(mut f: impl FnMut() -> f64) -> f64 {
-    f().min(f())
-}
 
 /// The probe's byte vector: `count` regions of `region` bytes at a
 /// stride of twice the region.
@@ -105,7 +71,7 @@ struct XoverPoint {
     selected: Datapath,
 }
 
-/// Experiment 3 for one platform: probe the pack/iovec crossover, check
+/// Experiment 2 for one platform: probe the pack/iovec crossover, check
 /// auto mode selects the measured winner at every point, and return the
 /// probed points plus the measured crossover region length (first length
 /// where iovec wins; 0 if it never does).
@@ -149,16 +115,7 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_datapath.json".into());
     let platform = Platform::skx_impi();
 
-    // -- experiment 1: monolithic vs chunked 2^27-byte vector ping-pong --
-    let mono = platform.clone().without_pipeline();
-    let mono_s = best_of_two(|| pingpong_wall(&mono, PING_BYTES, 3));
-    let chunk_s = best_of_two(|| pingpong_wall(&platform, PING_BYTES, 3));
-    let ping_speedup = mono_s / chunk_s;
-    println!(
-        "pingpong 2^27: monolithic {mono_s:.3}s  chunked {chunk_s:.3}s  speedup {ping_speedup:.2}x"
-    );
-
-    // -- experiment 2: serial vs sharded sweep ------------------------
+    // -- experiment 1: serial vs sharded sweep ------------------------
     let cfg = sweep_config();
     let t0 = Instant::now();
     let serial = run_sweep(&platform, &cfg);
@@ -194,7 +151,7 @@ fn main() {
         );
     }
 
-    // -- experiment 3: pack vs iovec crossover, every platform --------
+    // -- experiment 2: pack vs iovec crossover, every platform --------
     let mut xover_json = String::new();
     for p in Platform::all() {
         let (points, measured) = crossover_probe(&p);
@@ -228,8 +185,6 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"datapath_baseline\",\n  \"host_threads\": {host_threads},\n  \
-         \"pingpong\": {{\"bytes\": {PING_BYTES}, \"reps\": 3, \"monolithic_s\": {mono_s:.6e}, \
-         \"chunked_s\": {chunk_s:.6e}, \"speedup\": {ping_speedup:.3}}},\n  \
          \"sweep\": {{\"points\": {}, \"shards\": {SWEEP_SHARDS}, \"serial_s\": {serial_s:.6e}, \
          \"sharded_s\": {sharded_s:.6e}, \"speedup\": {sweep_speedup:.3}, \"bit_identical\": true}},\n  \
          \"iov_crossover\": [\n{xover_json}\n  ]\n}}\n",

@@ -2,8 +2,8 @@
 //!
 //! Sweeps adversarially-constructed derived datatypes through
 //! `nonctg_datatype::check_type` (every production engine against the
-//! naive typemap interpreter) and drives the fabric's streamed datapath
-//! with runtime invariant checks enabled. Deterministic: a fixed default
+//! naive typemap interpreter) and drives the fabric's eager and lent
+//! datapaths with runtime invariant checks enabled. Deterministic: a fixed default
 //! seed, overridable with `--seed`, reproduces any failure exactly, and
 //! the minimized repro (`OracleReport`) is printed and written to the
 //! artifact file so CI uploads carry it.
@@ -22,9 +22,10 @@
 //!    constructor of the algebra.
 //! 3. **eviction** — `PLAN_CACHE_CAP + 16` distinct types to force LRU
 //!    eviction, then the earliest types again through the recompile path.
-//! 4. **straddle** — packed sizes walking across the pipeline threshold,
-//!    both through `check_type` and through a live two-rank exchange on
-//!    the streamed datapath with `NONCTG_ORACLE` invariants force-enabled.
+//! 4. **straddle** — packed sizes walking across the eager limit, where a
+//!    blocking send stops staging and starts lending its buffer, both
+//!    through `check_type` and through a live two-rank exchange with
+//!    `NONCTG_ORACLE` invariants force-enabled.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -38,11 +39,6 @@ use nonctg_core::{set_oracle_checks, Universe};
 
 const DEFAULT_CASES: usize = 256;
 const DEFAULT_SEED: u64 = 0x0C0FFEE0;
-/// Pipeline threshold the straddle phase pins (small enough to exercise
-/// the streamed datapath with test-sized payloads and to keep the type
-/// under the oracle's entry cap).
-const STRADDLE_THRESHOLD: u64 = 64 * 1024;
-const STRADDLE_CHUNK: u64 = 8 * 1024;
 
 struct XorShift(u64);
 
@@ -228,11 +224,12 @@ fn run_case(name: &str, t: &Datatype, count: usize, seed: u64, failures: &mut Ve
     }
 }
 
-/// Live two-rank exchange on the streamed datapath: rank 0 sends `count`
-/// instances of a strided type, rank 1 receives and returns its buffer;
-/// the result must equal a local pack/unpack round trip. Invariant
-/// checks are already force-enabled process-wide.
-fn straddle_exchange(count: usize, failures: &mut Vec<String>) {
+/// Live two-rank exchange: rank 0 sends `count` instances of a strided
+/// type with a blocking standard send (staged while eager, lent beyond
+/// the eager limit), rank 1 receives and returns its buffer; the result
+/// must equal a local pack/unpack round trip. Invariant checks are
+/// already force-enabled process-wide.
+fn straddle_exchange(p: &Platform, count: usize, failures: &mut Vec<String>) {
     let t = Datatype::vector(64, 16, 17, &Datatype::f64()).unwrap().commit();
     let elems = (t.extent() as usize / 8) * count + 16;
     let src: Vec<f64> = (0..elems).map(|i| i as f64 * 0.25 + 1.0).collect();
@@ -241,14 +238,11 @@ fn straddle_exchange(count: usize, failures: &mut Vec<String>) {
     let packed = pack(as_bytes(&src), 0, &t, count).expect("local pack");
     unpack_from(&packed, &t, count, as_bytes_mut(&mut expected), 0).expect("local unpack");
 
-    let mut p = Platform::skx_impi().with_pipeline(STRADDLE_THRESHOLD, STRADDLE_CHUNK);
-    p.jitter_sigma = 0.0;
-    let p = p.with_deadlock_timeout(10.0);
     let t2 = t.clone();
     let src2 = src.clone();
-    let (_, received) = Universe::run_pair(p, move |comm| {
+    let (_, received) = Universe::run_pair(p.clone(), move |comm| {
         if comm.rank() == 0 {
-            comm.ssend(as_bytes(&src2), 0, &t2, count, 1, 3).unwrap();
+            comm.send(as_bytes(&src2), 0, &t2, count, 1, 3).unwrap();
             Vec::new()
         } else {
             let mut buf = vec![0.0f64; elems];
@@ -259,7 +253,7 @@ fn straddle_exchange(count: usize, failures: &mut Vec<String>) {
     let bytes = t.size() * count as u64;
     if received != expected {
         let line = format!(
-            "[straddle] streamed exchange of {bytes} packed bytes (count {count}) \
+            "[straddle] exchange of {bytes} packed bytes (count {count}) \
              delivered wrong data"
         );
         eprintln!("FAIL {line}");
@@ -322,15 +316,17 @@ fn main() -> ExitCode {
         run_case(&format!("evict-recompile #{i}"), t, 2, seed ^ 0xE000 ^ i as u64, &mut failures);
     }
 
-    println!(
-        "== phase 4: pipeline-threshold straddle (threshold {STRADDLE_THRESHOLD} B) =="
-    );
+    let mut p = Platform::skx_impi();
+    p.jitter_sigma = 0.0;
+    let p = p.with_deadlock_timeout(10.0);
+    let eager_limit = p.eager_threshold(false);
+    println!("== phase 4: eager/lend straddle (eager limit {eager_limit} B) ==");
     // Packed bytes per instance: 64 * 16 * 8 = 8192; counts walk the
-    // packed size across the threshold (under / at / over).
+    // packed size across the 64 KiB limit (under / at / over).
     let straddle_type = Datatype::vector(64, 16, 17, &Datatype::f64()).unwrap();
     for count in [7usize, 8, 9] {
         run_case(&format!("straddle count {count}"), &straddle_type, count, seed, &mut failures);
-        straddle_exchange(count, &mut failures);
+        straddle_exchange(&p, count, &mut failures);
     }
 
     let mut summary = String::new();

@@ -64,8 +64,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let newest = entries.last().unwrap();
+    let dirty = match (newest.dirty, &newest.diff_hash) {
+        (Some(true), Some(hash)) => format!(", dirty tree {hash}"),
+        _ => String::new(),
+    };
     println!(
-        "{}: {} entries for '{bench}', newest {} (sha {})",
+        "{}: {} entries for '{bench}', newest {} (sha {}{dirty})",
         dir.display(),
         entries.len(),
         newest.path.file_name().unwrap_or_default().to_string_lossy(),

@@ -2,7 +2,8 @@
 //!
 //! Every `BENCH_*.json` writer funnels through [`write_bench_json`]: the
 //! document is written to its usual path *and* appended, wrapped in a
-//! provenance envelope (host fingerprint, git sha, unix time), to the
+//! provenance envelope (host fingerprint, git sha and whether the tree
+//! was dirty, unix time), to the
 //! history directory — `$NONCTG_BENCH_HISTORY`, defaulting to
 //! `BENCH_history/`. `nonctg-regress` then compares the newest entry's
 //! metrics against the trailing median of the older ones with a
@@ -47,6 +48,14 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Boolean value, if this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -265,16 +274,42 @@ fn hostname() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-fn git_sha() -> String {
+/// Stdout of a successful `git` command, or `None`.
+fn git(args: &[&str]) -> Option<Vec<u8>> {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|o| o.stdout)
+}
+
+fn git_sha() -> String {
+    git(&["rev-parse", "--short", "HEAD"])
+        .and_then(|o| String::from_utf8(o).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
+}
+
+/// FNV-1a over byte chunks.
+fn fnv1a<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in chunks.into_iter().flatten() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Whether the checkout differs from `HEAD` (tracked changes or
+/// untracked files), and a hash of how: FNV-1a over
+/// `git status --porcelain` and `git diff HEAD`, so two runs from the
+/// same edits share a hash. `None` outside a git checkout.
+fn git_tree_state() -> Option<(bool, String)> {
+    let status = git(&["status", "--porcelain"])?;
+    let diff = git(&["diff", "HEAD", "--binary"])?;
+    Some((!status.is_empty(), format!("{:016x}", fnv1a([&status[..], &diff[..]]))))
 }
 
 /// Write a bench document to `out_path` **and** append a wrapped copy
@@ -320,6 +355,16 @@ pub fn write_bench_json(bench: &str, out_path: &Path, body: &str) -> std::io::Re
         std::env::consts::OS
     );
     let _ = writeln!(doc, "  \"git_sha\": \"{}\",", git_sha());
+    match git_tree_state() {
+        Some((dirty, hash)) => {
+            let _ = writeln!(doc, "  \"dirty\": {dirty},");
+            let _ = writeln!(doc, "  \"diff_hash\": \"{hash}\",");
+        }
+        None => {
+            let _ = writeln!(doc, "  \"dirty\": null,");
+            let _ = writeln!(doc, "  \"diff_hash\": null,");
+        }
+    }
     let _ = writeln!(doc, "  \"payload\": {}", body.trim_end());
     let _ = writeln!(doc, "}}");
     let entry = dir.join(format!("{bench}-{index:05}-{unix}.json"));
@@ -336,6 +381,11 @@ pub struct HistoryEntry {
     pub unix_time: f64,
     /// Short commit id (or `"unknown"` outside a checkout).
     pub git_sha: String,
+    /// Whether the tree had uncommitted changes; `None` outside a
+    /// checkout and in entries written before the envelope recorded it.
+    pub dirty: Option<bool>,
+    /// Hash of those changes (see `dirty`), when recorded.
+    pub diff_hash: Option<String>,
     /// The wrapped bench document.
     pub payload: Value,
     /// Entry file path.
@@ -369,6 +419,8 @@ pub fn load_history(dir: &Path, bench: &str) -> Vec<HistoryEntry> {
                 bench: doc.get("bench")?.as_str()?.to_string(),
                 unix_time: doc.get("unix_time")?.as_f64()?,
                 git_sha: doc.get("git_sha")?.as_str()?.to_string(),
+                dirty: doc.get("dirty").and_then(Value::as_bool),
+                diff_hash: doc.get("diff_hash").and_then(Value::as_str).map(str::to_string),
                 payload: doc.get("payload")?.clone(),
                 path,
             })
@@ -378,9 +430,8 @@ pub fn load_history(dir: &Path, bench: &str) -> Vec<HistoryEntry> {
 
 /// Extract the lower-is-better scalar metrics a bench payload exposes.
 ///
-/// * `pack` payloads: one `pack/<shape>/<payload-label>` metric per
-///   result row (`seconds_per_pack`).
-/// * `datapath` payloads: the ping-pong monolithic/chunked seconds.
+/// `pack` payloads give one `pack/<shape>/<payload-label>` metric per
+/// result row (`seconds_per_pack`); other payloads give none.
 pub fn metrics_of(payload: &Value) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     if let Some(entries) = payload.get("results").and_then(Value::as_array) {
@@ -393,13 +444,6 @@ pub fn metrics_of(payload: &Value) -> Vec<(String, f64)> {
                 continue;
             };
             out.push((format!("pack/{shape}/{label}"), secs));
-        }
-    }
-    if let Some(pp) = payload.get("pingpong") {
-        for key in ["monolithic_s", "chunked_s"] {
-            if let Some(v) = pp.get(key).and_then(Value::as_f64) {
-                out.push((format!("pingpong/{key}"), v));
-            }
         }
     }
     out
@@ -545,7 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_of_pack_and_datapath() {
+    fn metrics_of_pack_only() {
         let pack = parse_json(
             r#"{"results": [
                 {"shape": "strided", "payload": "1KB", "seconds_per_pack": 1e-6},
@@ -557,10 +601,26 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].0, "pack/strided/1KB");
 
+        // A datapath payload (old ones carried a ping-pong section) has
+        // no sentinel metrics.
         let dp = parse_json(r#"{"pingpong": {"monolithic_s": 0.5, "chunked_s": 0.3}}"#).unwrap();
-        let m = metrics_of(&dp);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[1], ("pingpong/chunked_s".to_string(), 0.3));
+        assert!(metrics_of(&dp).is_empty());
+    }
+
+    #[test]
+    fn old_envelopes_without_tree_state_still_load() {
+        let dir = std::env::temp_dir().join(format!("nonctg-hist-old-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let old = r#"{"schema_version": 1, "bench": "pack", "unix_time": 5,
+            "host": {"name": "h", "threads": 2, "arch": "x86_64", "os": "linux"},
+            "git_sha": "abc1234", "payload": {"results": []}}"#;
+        fs::write(dir.join("pack-00000-5.json"), old).unwrap();
+        let hist = load_history(&dir, "pack");
+        assert_eq!(hist.len(), 1);
+        assert_eq!((hist[0].git_sha.as_str(), hist[0].dirty), ("abc1234", None));
+        assert_eq!(hist[0].diff_hash, None);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -576,6 +636,13 @@ mod tests {
         assert_eq!(hist[0].bench, "demo");
         assert!(hist[0].payload.get("entries").is_some());
         assert!(hist[0].path < hist[1].path);
+        // The envelope records the tree state whenever git can tell.
+        let raw = parse_json(&fs::read_to_string(&hist[0].path).unwrap()).unwrap();
+        assert_eq!(hist[0].dirty, raw.get("dirty").and_then(Value::as_bool));
+        if let Some(hash) = &hist[0].diff_hash {
+            assert_eq!(hash.len(), 16);
+            assert_eq!(hist[0].diff_hash, hist[1].diff_hash, "same tree, same hash");
+        }
         std::env::remove_var("NONCTG_BENCH_HISTORY");
         let _ = fs::remove_dir_all(&dir);
     }

@@ -368,8 +368,6 @@ pub fn events_to_spans(events: &[Vec<TraceEvent>]) -> Vec<Span> {
                 bytes: e.bytes,
                 peer: e.peer,
                 tag: e.tag.map(i64::from),
-                seq: e.seq,
-                depth: e.depth,
             });
         }
     }

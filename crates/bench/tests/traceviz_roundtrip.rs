@@ -3,8 +3,8 @@
 //! bench crate's own JSON parser. The assertions pin what downstream
 //! viewers rely on: one `X` record per trace event, `thread_name`
 //! metadata for every rank, non-negative durations with timestamps
-//! monotone per track, and the `seq`/`depth` pipeline annotations
-//! surviving verbatim.
+//! monotone per track, and zero-width markers with their `peer`/`tag`
+//! arguments surviving verbatim.
 
 use nonctg_bench::events_to_spans;
 use nonctg_bench::history::{parse_json, Value};
@@ -20,37 +20,28 @@ fn ev(kind: EventKind, t_start: f64, t_end: f64, bytes: usize) -> TraceEvent {
         peer: Some(1),
         bytes,
         tag: Some(17),
-        seq: None,
-        depth: None,
     }
 }
 
 /// Two ranks of a one-rep staged ping: pack + send on rank 0 with two
-/// zero-width chunk posts, recv + unpack on rank 1 with two drains.
+/// zero-width route markers, recv + unpack on rank 1 with two more.
 fn synthetic_run() -> ObservedRun {
-    let mut tx0 = ev(EventKind::Chunk, 1.0, 1.0, 512);
-    tx0.seq = Some(0);
-    tx0.depth = Some(1);
-    let mut tx1 = ev(EventKind::Chunk, 1.0, 1.0, 512);
-    tx1.seq = Some(1);
-    tx1.depth = Some(2);
-    let mut rx0 = tx0;
-    rx0.peer = Some(0);
-    rx0.depth = Some(2);
-    let mut rx1 = tx1;
-    rx1.peer = Some(0);
-    rx1.depth = Some(1);
+    let mut rx_select = ev(EventKind::Select, 1.0, 1.0, 512);
+    rx_select.peer = Some(0);
+    let mut rx_demote = ev(EventKind::Demote, 1.0, 1.0, 512);
+    rx_demote.peer = Some(0);
+    rx_demote.tag = None;
 
     let rank0 = vec![
         ev(EventKind::Pack, 0.0, 1.0, 1024),
         ev(EventKind::Send, 1.0, 3.0, 1024),
-        tx0,
-        tx1,
+        ev(EventKind::Select, 1.0, 1.0, 512),
+        ev(EventKind::Demote, 1.0, 1.0, 512),
     ];
     let rank1 = vec![
         ev(EventKind::Recv, 0.5, 3.0, 1024),
-        rx0,
-        rx1,
+        rx_select,
+        rx_demote,
         ev(EventKind::Unpack, 3.0, 3.5, 1024),
     ];
     ObservedRun {
@@ -126,35 +117,34 @@ fn export_round_trips_counts_tracks_and_timestamps() {
 }
 
 #[test]
-fn seq_and_depth_survive_the_round_trip() {
+fn zero_width_markers_keep_their_arguments() {
     let run = synthetic_run();
     let spans = events_to_spans(&run.events);
     let json = chrome_trace_json(&spans, "roundtrip", &[]);
     let doc = parse_json(&json).expect("export parses as JSON");
 
-    let chunk_args: Vec<(f64, f64, f64)> = complete_events(&doc)
+    let markers: Vec<(f64, &str, f64, f64, Option<f64>)> = complete_events(&doc)
         .iter()
-        .filter(|e| e.get("name").and_then(Value::as_str) == Some("chunk"))
+        .filter(|e| e.get("dur").and_then(Value::as_f64) == Some(0.0))
         .map(|e| {
             let args = e.get("args").unwrap();
             (
                 e.get("tid").and_then(Value::as_f64).unwrap(),
-                args.get("seq").and_then(Value::as_f64).unwrap(),
-                args.get("depth").and_then(Value::as_f64).unwrap(),
+                e.get("name").and_then(Value::as_str).unwrap(),
+                args.get("bytes").and_then(Value::as_f64).unwrap(),
+                args.get("peer").and_then(Value::as_f64).unwrap(),
+                args.get("tag").and_then(Value::as_f64),
             )
         })
         .collect();
-    // Sender posts at depths 1 then 2; receiver drains at 2 then 1.
     assert_eq!(
-        chunk_args,
-        vec![(0.0, 0.0, 1.0), (0.0, 1.0, 2.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0)]
+        markers,
+        vec![
+            (0.0, "select", 512.0, 1.0, Some(17.0)),
+            (0.0, "demote", 512.0, 1.0, Some(17.0)),
+            (1.0, "select", 512.0, 0.0, Some(17.0)),
+            // An event without a tag carries no `tag` argument.
+            (1.0, "demote", 512.0, 0.0, None),
+        ]
     );
-
-    // Non-pipelined events must not grow the annotations.
-    for e in complete_events(&doc) {
-        if e.get("name").and_then(Value::as_str) != Some("chunk") {
-            let args = e.get("args").unwrap();
-            assert!(args.get("seq").is_none() && args.get("depth").is_none());
-        }
-    }
 }

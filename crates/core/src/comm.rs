@@ -296,27 +296,9 @@ impl Comm {
         bytes: usize,
         tag: Option<i32>,
     ) {
-        self.trace_stream(kind, t_start, peer, bytes, tag, None, None);
-    }
-
-    /// [`Comm::trace`] with stream position metadata: the chunk sequence
-    /// number and ring occupancy of a pipelined transfer (see
-    /// [`TraceEvent::seq`] / [`TraceEvent::depth`]).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn trace_stream(
-        &mut self,
-        kind: EventKind,
-        t_start: f64,
-        peer: Option<usize>,
-        bytes: usize,
-        tag: Option<i32>,
-        seq: Option<u32>,
-        depth: Option<u32>,
-    ) {
         if self.tracer.enabled() {
             let t_end = self.clock.now();
-            self.tracer.record(TraceEvent { kind, t_start, t_end, peer, bytes, tag, seq, depth });
+            self.tracer.record(TraceEvent { kind, t_start, t_end, peer, bytes, tag });
         }
         if let Some(m) = &mut self.metrics {
             m.record(kind, self.clock.now() - t_start, bytes);

@@ -19,7 +19,7 @@ use nonctg_simnet::Platform;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{CoreError, Result};
-use crate::invariants::{AliasRegistry, ClockLedger, StreamAudit};
+use crate::invariants::{AliasRegistry, ClockLedger};
 use crate::rma::WindowState;
 
 /// Longest slice a fabric wait sleeps before re-checking the poison flag.
@@ -45,16 +45,20 @@ pub(crate) fn poll_slice() -> Duration {
 /// wait parks almost immediately.
 pub(crate) const SPIN_ROUNDS: u32 = 64;
 
-/// One spin round between lock re-acquisitions.
+/// One spin round between lock re-acquisitions. It ends by yielding the
+/// CPU: when ranks outnumber idle cores, a spinning waiter would
+/// otherwise hold the core its peer (or the peer's pack workers) needs
+/// to produce what it waits for.
 #[inline]
 pub(crate) fn spin_round() {
     for _ in 0..32 {
         std::hint::spin_loop();
     }
+    std::thread::yield_now();
 }
 
 /// Bounded pool of reusable payload buffers, shared by every rank of one
-/// fabric. Message staging (sends, bsend, streamed chunks) draws from it,
+/// fabric. Message staging (staged sends, bsend) draws from it,
 /// and buffers flow back automatically when the receiver drops the
 /// envelope — including on error paths.
 pub(crate) struct PayloadPool {
@@ -183,8 +187,7 @@ impl PooledBuf {
 
     /// Mark the buffer fault-poisoned: on drop its allocation goes to the
     /// pool's quarantine instead of back into circulation, so a corrupted
-    /// or dropped chunk's bytes can never be recycled into a later
-    /// transfer.
+    /// payload's bytes can never be recycled into a later transfer.
     pub fn poison(&mut self) {
         self.poisoned = true;
     }
@@ -225,43 +228,17 @@ impl std::fmt::Debug for PooledBuf {
     }
 }
 
-/// Packed payload of a message: staged whole by the sender, streamed as
-/// chunks, shipped with its region list, or lent straight from the
-/// sender's buffer.
+/// Packed payload of a message: staged whole by the sender, or lent
+/// straight from the sender's buffer.
 #[derive(Debug)]
 pub(crate) enum Payload {
     /// The whole packed message, staged by the sender in a pool buffer.
     Whole(PooledBuf),
-    /// Chunked stream (pipelined rendezvous): the receiver drains `rx`
-    /// until it has `total` bytes. Chunk boundaries are pack-plan block
-    /// aligned on the sender, but receivers must not rely on that.
-    Chunked {
-        /// Total packed bytes across all chunks.
-        total: usize,
-        /// Chunk buffers, in message order; the channel's bound is the
-        /// ring depth that throttles the sender.
-        rx: Receiver<PooledBuf>,
-        /// Oracle-mode audit shared with the sender's pump (chunk order
-        /// and byte-conservation checks); `None` when checks are off.
-        audit: Option<Arc<StreamAudit>>,
-    },
-    /// Zero-copy iovec rendezvous: the payload bytes travel in region
-    /// order (exactly what a pack would produce) together with the
-    /// sender-side `(offset, len)` region list, and the receiver scatters
-    /// them straight into its own regions without an unpack pass. The
-    /// virtual-time charges differ (per-region DMA costs instead of a
-    /// staging gather); the bytes delivered are identical to a pack.
-    Iovec {
-        /// Region-ordered payload bytes (same bytes a pack would stage).
-        data: PooledBuf,
-        /// Sender-side region list, for audits and diagnostics.
-        regions: Arc<[(i64, u64)]>,
-    },
     /// The user buffer of a blocked rendezvous sender (blocking `send`
     /// or `ssend`): nothing was staged. The receiver claims the lease and
     /// moves the bytes once, straight into its receive buffer; only when
     /// both layouts are non-contiguous does it stage through the pool.
-    /// The virtual-time charges are the staged path's.
+    /// The virtual-time charges are the billed engine's.
     Lent(Lease),
 }
 
@@ -270,8 +247,6 @@ impl Payload {
     pub fn len(&self) -> usize {
         match self {
             Payload::Whole(b) => b.len(),
-            Payload::Chunked { total, .. } => *total,
-            Payload::Iovec { data, .. } => data.len(),
             Payload::Lent(lease) => lease.bytes,
         }
     }
@@ -472,10 +447,12 @@ pub struct FaultStats {
     pub corruptions: u64,
     /// Sends abandoned after the bounded retry budget.
     pub failed_sends: u64,
-    /// Transfers demoted from the pipelined chunk stream to a whole
-    /// (monolithic) rendezvous after repeated forecast chunk faults.
+    /// Sends whose notional chunk schedule forecast at least
+    /// `CHUNK_DEMOTE_THRESHOLD` chunk faults: the ladder's demotion from
+    /// the chunk stream, kept as a forecast (see `route`).
     pub pipeline_demotions: u64,
-    /// Chunks re-packed and re-sent after an in-stream corruption/drop.
+    /// Forecast chunk faults below that threshold: each counts as one
+    /// re-packed chunk.
     pub chunk_retries: u64,
     /// Sends that fell back from pooled (zero-copy-style) staging to an
     /// owned buffer because the payload pool was exhausted.
@@ -657,11 +634,14 @@ pub(crate) struct Envelope {
     /// Sender's rank *within that context*.
     pub src: usize,
     pub tag: i32,
-    /// Packed (contiguous) payload bytes, whole or streamed.
+    /// Packed (contiguous) payload bytes, staged or lent.
     pub payload: Payload,
     /// Total signature (already scaled by the send count).
     pub sig: Signature,
     pub protocol: Protocol,
+    /// Billed as a zero-copy iovec rendezvous: the receiver charges the
+    /// scatter into its own regions instead of the unpack engine's.
+    pub iov: bool,
     /// Released back to an attached bsend buffer when matched.
     pub bsend_release: Option<(Arc<AtomicU64>, u64)>,
 }
@@ -952,6 +932,7 @@ mod tests {
             payload: Payload::Whole(PooledBuf::detached(Vec::new())),
             sig: Signature::empty(),
             protocol: Protocol::Eager { avail: 0.0 },
+            iov: false,
             bsend_release: None,
         }
     }

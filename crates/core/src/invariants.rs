@@ -7,9 +7,6 @@
 //!
 //! - **payload-pool aliasing** — a pooled staging buffer must never be
 //!   handed out twice while still in flight;
-//! - **chunk-ring order** — a streamed message's chunks must drain in the
-//!   exact order and length they were emitted, and their cumulative size
-//!   must land exactly on the advertised total;
 //! - **clock monotonicity** — a rank's virtual time never moves backwards
 //!   across operations, including across `split` communicator handles;
 //! - **receive conservation** — a matched receive consumes the packed
@@ -19,8 +16,7 @@
 //! message; inside a [`crate::Universe`] the panic surfaces as the rank's
 //! failure. The checks cost a few atomic loads when disabled.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use parking_lot::Mutex;
 
@@ -75,79 +71,6 @@ impl ClockLedger {
             ));
         }
         *last = now;
-    }
-}
-
-/// Shared audit of one chunked stream: the sender logs every emitted
-/// chunk, the receiver checks each drained chunk against that log.
-#[derive(Debug)]
-pub(crate) struct StreamAudit {
-    total: usize,
-    emitted: Mutex<VecDeque<usize>>,
-    emitted_bytes: AtomicUsize,
-    drained_bytes: AtomicUsize,
-}
-
-impl StreamAudit {
-    pub(crate) fn new(total: usize) -> StreamAudit {
-        StreamAudit {
-            total,
-            emitted: Mutex::new(VecDeque::new()),
-            emitted_bytes: AtomicUsize::new(0),
-            drained_bytes: AtomicUsize::new(0),
-        }
-    }
-
-    /// Sender side: one chunk of `len` bytes entered the ring.
-    pub(crate) fn emit(&self, len: usize) {
-        if !oracle_checks_enabled() {
-            return;
-        }
-        if len == 0 {
-            violation("chunk ring carried an empty chunk");
-        }
-        let sent = self.emitted_bytes.fetch_add(len, Ordering::AcqRel) + len;
-        if sent > self.total {
-            violation(&format!(
-                "chunk ring overflowed its advertised total: {sent} emitted of {}",
-                self.total
-            ));
-        }
-        self.emitted.lock().push_back(len);
-    }
-
-    /// Receiver side: one chunk of `len` bytes left the ring. Must match
-    /// the oldest un-drained emission exactly (order and length).
-    pub(crate) fn drain(&self, len: usize) {
-        if !oracle_checks_enabled() {
-            return;
-        }
-        match self.emitted.lock().pop_front() {
-            Some(expect) if expect == len => {}
-            Some(expect) => violation(&format!(
-                "chunk ring drained out of order: got {len} bytes, expected the {expect}-byte chunk"
-            )),
-            None => violation(&format!("chunk ring drained a {len}-byte chunk never emitted")),
-        }
-        self.drained_bytes.fetch_add(len, Ordering::AcqRel);
-    }
-
-    /// Receiver side, after the drain loop ran to completion: every
-    /// emitted byte was drained and the stream hit its advertised total.
-    pub(crate) fn finish(&self) {
-        if !oracle_checks_enabled() {
-            return;
-        }
-        let drained = self.drained_bytes.load(Ordering::Acquire);
-        if drained != self.total {
-            violation(&format!(
-                "chunk stream closed at {drained} of {} advertised bytes",
-                self.total
-            ));
-        }
-        if let Some(len) = self.emitted.lock().front() {
-            violation(&format!("chunk stream closed with an undrained {len}-byte chunk"));
-        }
     }
 }
 
@@ -216,37 +139,6 @@ mod tests {
 
     fn on() {
         set_oracle_checks(true);
-    }
-
-    #[test]
-    fn stream_audit_accepts_matching_drain() {
-        on();
-        let a = StreamAudit::new(10);
-        a.emit(4);
-        a.emit(6);
-        a.drain(4);
-        a.drain(6);
-        a.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "fabric invariant violated")]
-    fn stream_audit_rejects_reordered_drain() {
-        on();
-        let a = StreamAudit::new(10);
-        a.emit(4);
-        a.emit(6);
-        a.drain(6);
-    }
-
-    #[test]
-    #[should_panic(expected = "fabric invariant violated")]
-    fn stream_audit_rejects_short_stream() {
-        on();
-        let a = StreamAudit::new(10);
-        a.emit(4);
-        a.drain(4);
-        a.finish();
     }
 
     #[test]

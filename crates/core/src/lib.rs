@@ -54,12 +54,12 @@ pub use comm::{CacheState, Comm};
 pub use error::{CoreError, Result};
 pub use fabric::FaultStats;
 pub use invariants::{oracle_checks_enabled, set_oracle_checks};
-pub use metrics::{Histogram, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsSnapshot, TransferCounters};
 pub use nonblocking::{RecvRequest, SendRequest};
 pub use persistent::{PersistentRecv, PersistentSend};
-pub use p2p::{RecvStatus, BSEND_OVERHEAD_BYTES, CHUNK_RING_DEPTH, MAX_SEND_ATTEMPTS};
+pub use p2p::{RecvStatus, BSEND_OVERHEAD_BYTES, MAX_SEND_ATTEMPTS};
 pub use rma::{Window, WindowState};
-pub use route::send_engine;
+pub use route::{send_engine, StageCause, CHUNK_DEMOTE_THRESHOLD};
 pub use selector::{
     iov_max_regions, reset_selector_counters, selector_counters, RegionShape, SelectorCounters,
     DEFAULT_IOV_MAX_REGIONS,

@@ -11,7 +11,8 @@
 //! A rank's registry is drained into a [`MetricsSnapshot`] with
 //! [`crate::Comm::take_metrics`]; snapshots from different ranks merge
 //! into one run-wide view. The snapshot also carries this rank's
-//! [`FaultStats`] and the process-global datatype plan-cache delta
+//! [`FaultStats`], its lent and staged sends ([`TransferCounters`]) and
+//! the process-global datatype plan-cache delta
 //! (hits/misses/evictions/compile time) accumulated while the registry
 //! was live.
 
@@ -20,6 +21,7 @@ use std::fmt::Write as _;
 use nonctg_datatype::plan::{self, PlanCacheStats};
 
 use crate::fabric::FaultStats;
+use crate::route::StageCause;
 use crate::selector::{self, SelectorCounters};
 use crate::trace::EventKind;
 
@@ -111,6 +113,43 @@ impl Default for Histogram {
     }
 }
 
+/// How one rank's sends moved their bytes: lent to the receiver, or
+/// staged, tallied by the [`StageCause`] that forced each staging.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TransferCounters {
+    /// Sends whose receiver copied straight from the lent user buffer.
+    pub lent: u64,
+    /// Staged sends per cause, indexed by `StageCause as usize`.
+    pub staged: [u64; StageCause::ALL.len()],
+}
+
+impl TransferCounters {
+    /// Count one send that lent (`None`) or staged for `cause`.
+    pub(crate) fn record(&mut self, cause: Option<StageCause>) {
+        match cause {
+            None => self.lent += 1,
+            Some(c) => self.staged[c as usize] += 1,
+        }
+    }
+
+    /// Staged sends forced by `cause`.
+    pub fn staged_by(&self, cause: StageCause) -> u64 {
+        self.staged[cause as usize]
+    }
+
+    /// Staged sends, all causes.
+    pub fn staged_total(&self) -> u64 {
+        self.staged.iter().sum()
+    }
+
+    fn absorb(&mut self, other: &TransferCounters) {
+        self.lent += other.lent;
+        for (a, b) in self.staged.iter_mut().zip(other.staged) {
+            *a += b;
+        }
+    }
+}
+
 /// The live per-rank collector. Created by [`crate::Comm::enable_metrics`],
 /// drained by [`crate::Comm::take_metrics`].
 #[derive(Debug)]
@@ -119,6 +158,7 @@ pub(crate) struct MetricsRegistry {
     bytes: [u64; N_KINDS],
     busy: [f64; N_KINDS],
     hist: [Histogram; N_KINDS],
+    pub transfers: TransferCounters,
     /// Plan-cache counters at enable time; the snapshot reports the delta.
     plan_base: PlanCacheStats,
     /// Selector counters at enable time; the snapshot reports the delta.
@@ -132,6 +172,7 @@ impl MetricsRegistry {
             bytes: [0; N_KINDS],
             busy: [0.0; N_KINDS],
             hist: [Histogram::new(); N_KINDS],
+            transfers: TransferCounters::default(),
             plan_base: plan::cache_stats(),
             selector_base: selector::selector_counters(),
         }
@@ -154,6 +195,7 @@ impl MetricsRegistry {
             busy: self.busy,
             hist: self.hist,
             faults,
+            transfers: self.transfers,
             plan_cache: plan::cache_stats().delta_since(self.plan_base),
             selector: selector::selector_counters().delta_since(&self.selector_base),
         }
@@ -175,6 +217,8 @@ pub struct MetricsSnapshot {
     pub hist: [Histogram; N_KINDS],
     /// Injected-fault counters (summed across merged ranks).
     pub faults: FaultStats,
+    /// Lent and staged sends (summed across merged ranks).
+    pub transfers: TransferCounters,
     /// Datatype plan-cache activity while metrics were enabled. The cache
     /// is process-global, so merging takes the element-wise maximum
     /// rather than summing the same events once per rank.
@@ -194,6 +238,7 @@ impl Default for MetricsSnapshot {
             busy: [0.0; N_KINDS],
             hist: [Histogram::new(); N_KINDS],
             faults: FaultStats::default(),
+            transfers: TransferCounters::default(),
             plan_cache: PlanCacheStats::default(),
             selector: SelectorCounters::default(),
         }
@@ -231,6 +276,7 @@ impl MetricsSnapshot {
             self.hist[i].merge(&other.hist[i]);
         }
         self.faults.absorb(other.faults);
+        self.transfers.absorb(&other.transfers);
         let p = &mut self.plan_cache;
         p.size = p.size.max(other.plan_cache.size);
         p.hits = p.hits.max(other.plan_cache.hits);
@@ -312,6 +358,18 @@ impl MetricsSnapshot {
             f.cancels,
             f.demotions()
         );
+        let t = &self.transfers;
+        let _ = write!(
+            s,
+            "  \"transfers\": {{\"lent\": {}, \"staged\": {}, \"staged_by\": {{",
+            t.lent,
+            t.staged_total()
+        );
+        for (i, cause) in StageCause::ALL.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let _ = write!(s, "{sep}\"{}\": {}", cause.label(), t.staged_by(cause));
+        }
+        s.push_str("}},\n");
         let p = &self.plan_cache;
         let _ = writeln!(
             s,
@@ -434,6 +492,28 @@ mod tests {
         assert!(j.contains("\"iovec_demotions\": 3"), "{j}");
         assert!(j.contains("\"demotions\": 3"), "{j}");
         assert!(j.contains("\"selector\": {\"pack\": 5, \"iov\": 2, \"elem\": 1, \"total\": 8}"), "{j}");
+    }
+
+    #[test]
+    fn transfers_count_lent_and_staged_by_cause_and_merge_by_sum() {
+        let mut r = MetricsRegistry::new();
+        r.transfers.record(None);
+        r.transfers.record(Some(StageCause::Eager));
+        r.transfers.record(Some(StageCause::PoolExhaustion));
+        let mut s = r.snapshot(FaultStats::default());
+        s.merge(&r.snapshot(FaultStats::default()));
+        assert_eq!(s.transfers.lent, 2);
+        assert_eq!(s.transfers.staged_total(), 4);
+        assert_eq!(s.transfers.staged_by(StageCause::PoolExhaustion), 2);
+        let j = s.to_json();
+        assert!(
+            j.contains(
+                "\"transfers\": {\"lent\": 2, \"staged\": 4, \"staged_by\": {\"buffered\": 0, \
+                 \"nonblocking\": 0, \"eager\": 2, \"plan_fallback\": 0, \"pool_exhaustion\": 2, \
+                 \"serial_fallback\": 0, \"corruption\": 0}},"
+            ),
+            "{j}"
+        );
     }
 
     #[test]

@@ -124,9 +124,9 @@ impl SendRequest {
 
     /// Cancel the request (`MPI_Cancel` + free). A locally-complete send
     /// cannot be cancelled — its completion time is simply applied. A
-    /// pending rendezvous is abandoned: dropping the back-channel lets
-    /// the peer's stream pump observe the disconnect and stop cleanly
-    /// (never a hang), and the cancellation is counted in
+    /// pending rendezvous is abandoned: the receiver's reply into the
+    /// dropped back-channel is simply lost (never a hang), and the
+    /// cancellation is counted in
     /// [`crate::FaultStats::cancels`]. Returns [`CoreError::Cancelled`]
     /// when the request was actually torn down.
     pub fn cancel(self, comm: &mut Comm) -> Result<()> {
@@ -284,8 +284,9 @@ impl Comm {
         let t0 = self.wtime();
         let bytes = dt::pack_size(dtype, count)?;
         let req =
-            // `may_stream: false` — an isend must not block pumping chunks
-            // (sendrecv posts the receive only after the isend returns).
+            // Not blocking: an isend returns before the transfer completes,
+            // so it stages rather than lends (sendrecv posts the receive
+            // only after the isend returns).
             self.send_impl(buf, origin, dtype, count, dst, tag, crate::route::SendMode::Standard, false)?;
         self.trace(crate::trace::EventKind::Isend, t0, Some(dst), bytes, Some(tag));
         Ok(req)

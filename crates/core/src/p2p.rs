@@ -14,28 +14,26 @@
 //!
 //! "Staged through an internal buffer" describes the virtual-time model.
 //! Payload bytes genuinely move, and receivers can verify every byte, but
-//! on the host a blocking `send` or `ssend` on the rendezvous path lends
-//! its user buffer instead of staging it ([`Payload::Lent`]): the
-//! receiver moves the bytes once, straight into its receive buffer, while
-//! the sender stays blocked. The charges are the staged path's either way.
+//! on the host every blocking `send` or `ssend` on the rendezvous path
+//! lends its user buffer instead of staging it ([`Payload::Lent`]),
+//! whichever engine the route billed: the receiver moves the bytes once,
+//! straight into its receive buffer, while the sender stays blocked. The
+//! charges are the billed engine's either way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError};
-use nonctg_datatype::{self as dt, Datatype, PackPlan, Scalar};
-use nonctg_simnet::{Access, Platform};
+use crossbeam::channel::Receiver;
+use nonctg_datatype::{self as dt, Datatype, Scalar};
+use nonctg_simnet::Access;
 
 use crate::comm::{CacheState, Comm};
 use crate::error::{CoreError, Result};
 use crate::fabric::{
-    poll_slice, reply_channel, Claimed, Envelope, Lease, OpRecord, Payload, PayloadPool, PooledBuf,
-    Protocol,
+    reply_channel, Claimed, Envelope, Lease, OpRecord, Payload, PayloadPool, PooledBuf, Protocol,
 };
 use crate::nonblocking::{SendRequest, SendState};
-use crate::route::{self, BufferSource, FaultSite, Path, RouteInput, SendMode, Staging, Step};
-use crate::selector::RegionShape;
+use crate::route::{self, BufferSource, FaultSite, Path, Regions, RouteInput, SendMode, Step};
 
 /// Bytes of bookkeeping the attached buffer pays per buffered message
 /// (`MPI_BSEND_OVERHEAD`).
@@ -48,18 +46,6 @@ pub const MAX_SEND_ATTEMPTS: u32 = 5;
 
 /// First retry backoff in virtual seconds; doubles per failed attempt.
 const SEND_BACKOFF_BASE_S: f64 = 2e-6;
-
-/// Chunks in flight on a pipelined rendezvous: the sender may run this
-/// many chunks ahead of the receiver before its ring push blocks. Depth 2
-/// is enough for full pack/unpack overlap; more only adds memory.
-pub const CHUNK_RING_DEPTH: usize = 2;
-
-/// Per-chunk faults forecast for one send at or above which the transfer
-/// is demoted from the pipelined chunk stream to the monolithic
-/// whole-payload rendezvous (the graceful-degradation ladder's first
-/// rung). Below the threshold the stream runs and re-packs each faulted
-/// chunk individually.
-pub const CHUNK_DEMOTE_THRESHOLD: usize = 3;
 
 /// Completion information of a receive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,12 +219,12 @@ impl Comm {
         dst: usize,
         tag: i32,
         mode: SendMode,
-        may_stream: bool,
+        blocking: bool,
     ) -> Result<SendRequest> {
         self.check_rank(dst)?;
         dtype.require_committed()?;
         let p = self.platform().clone();
-        let mut input = RouteInput::new(&p, dtype, count, mode, may_stream, origin, buf.len())?;
+        let mut input = RouteInput::new(&p, dtype, count, mode, blocking, origin, buf.len())?;
         let bytes = input.bytes;
         let warm = self.is_warm();
 
@@ -250,16 +236,13 @@ impl Comm {
         );
         let op = sup.next_op(me);
         let fault = p.fault.as_ref().map(|plan| FaultSite { plan, rank: me, op });
-
-        let stream_plan =
-            if input.stream_candidate() { dt::plan_for(dtype, count) } else { None };
-        input.stream_plan = stream_plan.is_some();
         if let Some(f) = fault {
             if f.plan.should_crash(me, op) {
                 panic!("fault plan: injected crash of rank {me} at op {op}");
             }
         }
-        let regions = input.lookup_regions(dtype, count, fault);
+        input.lookup_chunks(dtype, count, fault);
+        input.lookup_regions(dtype, count, fault);
         let route = route::route(&input, fault)?;
 
         // Fault charges are exact (no jitter draws), so the virtual clock
@@ -283,6 +266,9 @@ impl Comm {
         if route.corrupt.is_some() {
             sup.with_faults(me, |s| s.corruptions += 1);
         }
+        if route.chunk_retries > 0 {
+            sup.with_faults(me, |s| s.chunk_retries += route.chunk_retries);
+        }
         // Sustained link degradation: a burst window multiplies the base
         // latency; the surcharge above 1x is an exact charge.
         if route.latency_factor > 1.0 {
@@ -292,23 +278,10 @@ impl Comm {
         for &step in &route.steps {
             self.take_step(step, Some(dst), bytes as usize, Some(tag));
         }
-        let sig = dtype.signature().scaled(count as u64)?;
-        let corrupt_idx = route.corrupt;
-
-        match route.path {
-            Path::Iovec => {
-                let regions = regions.expect("an iovec route has a bounded region list");
-                return self.iovec_send(buf, origin, regions, bytes, &p, dst, tag, sig, corrupt_idx);
-            }
-            Path::Chunked => {
-                let plan = stream_plan.expect("a chunked route has a compiled plan");
-                return self.stream_send(
-                    buf, origin, &plan, bytes, &input.access, warm, &p, dst, tag, sig, corrupt_idx, op,
-                    route.buffer, route.staging == Staging::SerialPlan,
-                );
-            }
-            Path::Eager | Path::Rendezvous | Path::Failed => {}
+        if let Some(m) = &mut self.metrics {
+            m.transfers.record(route.staged);
         }
+        let sig = dtype.signature().scaled(count as u64)?;
         let eager = route.path == Path::Eager;
         let contiguous = input.contiguous;
 
@@ -318,12 +291,12 @@ impl Comm {
         // the fabric's payload pool, so steady-state sends allocate
         // nothing; under pool exhaustion the ladder drops to a plain owned
         // allocation (never pooled).
-        let staged = if route.lend {
+        let staged = if route.lends() {
             None
         } else {
             let mut packed = self.staging_buf(route.buffer, bytes as usize);
             route.staging.pack(buf, origin, dtype, count, &mut packed)?;
-            if let Some(idx) = corrupt_idx {
+            if let Some(idx) = route.corrupt {
                 packed[idx] ^= 0xFF;
                 // Corrupted payload bytes must never linger in a recycled
                 // staging buffer: quarantine the allocation on drop.
@@ -334,8 +307,8 @@ impl Comm {
         let mut bsend_release = None;
         // The rendezvous back-channel, when the sender waits for one.
         let mut pending = None;
-        let protocol = match mode {
-            SendMode::Standard | SendMode::Synchronous if contiguous => {
+        let protocol = match (mode, route.iov) {
+            (SendMode::Standard | SendMode::Synchronous, _) if contiguous => {
                 // Reference path: NIC streams the buffer, reads overlap the
                 // wire (paper §2.1, proportionality ~1).
                 let inject = p.contiguous_injection(bytes) * self.jitter.factor();
@@ -355,7 +328,22 @@ impl Comm {
                     }
                 }
             }
-            SendMode::Standard | SendMode::Synchronous => {
+            (SendMode::Standard | SendMode::Synchronous, Some(shape)) => {
+                // Zero-copy iovec rendezvous (never eager): no staging
+                // gather is charged. The sender pays a per-region
+                // descriptor cost and the NIC DMA-gathers the user regions
+                // on the wire. Per-region charges are exact (no jitter
+                // draws), so the iovec clock is a pure function of the
+                // region shape.
+                self.charge_exact(p.send_overhead(false));
+                self.charge_exact(p.iov_overhead_shaped(shape.n, shape.subline));
+                self.cache = CacheState::Warm;
+                let wire = p.iov_wire_time(bytes, shape.n) * self.jitter.factor();
+                let (tx, rx) = reply_channel();
+                pending = Some(rx);
+                Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: tx }
+            }
+            (SendMode::Standard | SendMode::Synchronous, None) => {
                 // Derived-type path: MPI gathers into its internal buffer
                 // (no overlap with the wire), then sends contiguously.
                 let t_stage = self.clock.now();
@@ -372,7 +360,7 @@ impl Comm {
                     Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: tx }
                 }
             }
-            SendMode::Buffered => {
+            (SendMode::Buffered, _) => {
                 // Reserve attached-buffer space first (MPI_ERR_BUFFER).
                 let needed = bytes + BSEND_OVERHEAD_BYTES;
                 let release = self.reserve_bsend(needed)?;
@@ -398,12 +386,12 @@ impl Comm {
             }
         };
 
+        let iov = route.iov.is_some();
         let Some(payload) = staged else {
             let rx = pending.expect("only a rendezvous lends");
-            return self
-                .lend(buf, origin, dtype, count, bytes as usize, dst, tag, sig, protocol, rx);
+            return self.lend(buf, origin, dtype, count, bytes as usize, dst, tag, sig, protocol, iov, rx);
         };
-        self.post(dst, tag, payload, sig, protocol, bsend_release);
+        self.post(dst, tag, payload, sig, protocol, iov, bsend_release);
         Ok(SendRequest::new(match pending {
             Some(rx) => SendState::Pending(rx),
             None => SendState::Done(self.clock.now()),
@@ -426,10 +414,11 @@ impl Comm {
         tag: i32,
         sig: nonctg_datatype::Signature,
         protocol: Protocol,
+        iov: bool,
         reply: Receiver<f64>,
     ) -> Result<SendRequest> {
         let (lease, ticket) = Lease::new(buf, origin, dtype, count, bytes);
-        self.post(dst, tag, Payload::Lent(lease), sig, protocol, None);
+        self.post(dst, tag, Payload::Lent(lease), sig, protocol, iov, None);
         let res = crate::nonblocking::await_reply(self, &reply);
         let done = ticket.settle(res, &reply)?;
         Ok(SendRequest::new(SendState::Done(done)))
@@ -466,6 +455,7 @@ impl Comm {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn post(
         &self,
         dst: usize,
@@ -473,6 +463,7 @@ impl Comm {
         payload: Payload,
         sig: nonctg_datatype::Signature,
         protocol: Protocol,
+        iov: bool,
         bsend_release: Option<(Arc<AtomicU64>, u64)>,
     ) {
         let global_dst = self.global_rank(dst);
@@ -483,206 +474,9 @@ impl Comm {
             payload,
             sig,
             protocol,
+            iov,
             bsend_release,
         });
-    }
-
-    /// Pipelined rendezvous: post a chunk-streaming envelope, then pack
-    /// and push aligned chunks through a bounded ring while the receiver
-    /// unpacks them in place. The virtual-time charges (staging, send
-    /// overhead, jittered wire) are issued in exactly the monolithic
-    /// derived-path order, so the cost model cannot tell the paths apart.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_send(
-        &mut self,
-        buf: &[u8],
-        origin: usize,
-        plan: &PackPlan,
-        bytes: u64,
-        access: &Access,
-        warm: bool,
-        p: &Platform,
-        dst: usize,
-        tag: i32,
-        sig: nonctg_datatype::Signature,
-        corrupt_idx: Option<usize>,
-        op: u64,
-        buffer: BufferSource,
-        serial_pack: bool,
-    ) -> Result<SendRequest> {
-        let t_stage = self.clock.now();
-        self.charge(p.staging_time(bytes, access, warm));
-        self.trace(crate::trace::EventKind::Stage, t_stage, None, bytes as usize, None);
-        self.charge_exact(p.send_overhead(false));
-        self.cache = CacheState::Warm;
-        let wire = p.wire_time(bytes, 1.0) * self.jitter.factor();
-        let (reply_tx, reply_rx) = reply_channel();
-        let (chunk_tx, chunk_rx) = bounded::<PooledBuf>(CHUNK_RING_DEPTH);
-        let proto =
-            Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: reply_tx };
-        let audit = crate::invariants::oracle_checks_enabled()
-            .then(|| Arc::new(crate::invariants::StreamAudit::new(bytes as usize)));
-        self.post(
-            dst,
-            tag,
-            Payload::Chunked { total: bytes as usize, rx: chunk_rx, audit: audit.clone() },
-            sig,
-            proto,
-            None,
-        );
-
-        let chunk = p.effective_pipeline().chunk_bytes;
-        let pack = |out: &mut [u8], lo, hi| {
-            if serial_pack {
-                plan.pack_range_into_with(buf, origin, out, lo, hi, 1)
-            } else {
-                plan.pack_range_into(buf, origin, out, lo, hi)
-            }
-        };
-        let sup = Arc::clone(&self.fabric().supervision);
-        let me = self.world_rank();
-        let deadline = Instant::now() + sup.timeout();
-        sup.set_blocked(me, Some("pipelined chunk delivery"));
-        let mut lo: u64 = 0;
-        let mut cidx: u64 = 0;
-        let res = 'pump: loop {
-            if lo >= bytes {
-                break Ok(());
-            }
-            // Step to the next instance-aligned cut; a chunk size below
-            // one pack block still makes progress (aligning up to total).
-            let mut step = chunk;
-            let mut hi = plan.align_chunk(lo + step);
-            while hi <= lo {
-                step *= 2;
-                hi = plan.align_chunk(lo + step);
-            }
-            let n = (hi - lo) as usize;
-            let mut cbuf = self.staging_buf(buffer, n);
-            if let Err(e) = pack(&mut cbuf, lo, hi) {
-                break Err(e.into());
-            }
-            // Per-chunk fault mid-pipeline: the faulted staging buffer is
-            // poisoned (quarantined on drop, never recycled) and the
-            // chunk re-packed into a fresh buffer. Wall-clock machinery
-            // only — the virtual clock is untouched, so a retried stream
-            // costs the same virtual time as a clean one.
-            if let Some(fp) = &p.fault {
-                let cf = fp.chunk_decision(me, op, cidx);
-                if cf.is_faulty() {
-                    if cf.corrupt && n > 0 {
-                        let i = fp.chunk_corrupt_byte(me, op, cidx, n);
-                        cbuf[i] ^= 0xFF;
-                    }
-                    cbuf.poison();
-                    drop(cbuf);
-                    cbuf = self.staging_buf(buffer, n);
-                    if let Err(e) = pack(&mut cbuf, lo, hi) {
-                        break Err(e.into());
-                    }
-                    sup.with_faults(me, |s| s.chunk_retries += 1);
-                }
-            }
-            if let Some(idx) = corrupt_idx {
-                if (lo as usize..hi as usize).contains(&idx) {
-                    cbuf[idx - lo as usize] ^= 0xFF;
-                    cbuf.poison();
-                }
-            }
-            if let Some(a) = &audit {
-                a.emit(n);
-            }
-            let mut item = cbuf;
-            loop {
-                if let Some(rank) = sup.failed_rank() {
-                    break 'pump Err(CoreError::PeerFailed { rank });
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break 'pump Err(CoreError::deadlock("pipelined chunk delivery"));
-                }
-                let slice = (deadline - now).min(poll_slice());
-                match chunk_tx.send_timeout(item, slice) {
-                    Ok(()) => break,
-                    Err(SendTimeoutError::Timeout(back)) => item = back,
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        // The receiver abandoned the envelope (it errored
-                        // before draining); the rendezvous reply channel
-                        // carries the outcome to `wait`.
-                        break 'pump Ok(());
-                    }
-                }
-            }
-            // Traced once the chunk is actually in the ring; the depth
-            // samples the occupancy including this chunk (the receiver may
-            // have drained it already, hence the floor at 1).
-            let t_now = self.clock.now();
-            self.trace_stream(
-                crate::trace::EventKind::Chunk,
-                t_now,
-                Some(dst),
-                n,
-                Some(tag),
-                Some(cidx as u32),
-                Some(chunk_tx.len().max(1) as u32),
-            );
-            lo = hi;
-            cidx += 1;
-        };
-        sup.set_blocked(me, None);
-        res.map_err(|e| self.fabric().enrich(e))?;
-        Ok(SendRequest::new(SendState::Pending(reply_rx)))
-    }
-
-    /// Zero-copy iovec rendezvous: no staging gather is charged — the
-    /// sender pays a per-region descriptor cost and the NIC DMA-gathers
-    /// the user regions on the wire (`iov_wire_time`). The payload bytes
-    /// still move for real (in region order, exactly what a pack would
-    /// produce) so the receiver can verify every byte; only the
-    /// virtual-time charges differ from the pack path. Per-region
-    /// charges are exact (no jitter draws) so the iovec clock is a pure
-    /// function of the region list.
-    #[allow(clippy::too_many_arguments)]
-    fn iovec_send(
-        &mut self,
-        buf: &[u8],
-        origin: usize,
-        regions: Vec<(i64, u64)>,
-        bytes: u64,
-        p: &Platform,
-        dst: usize,
-        tag: i32,
-        sig: nonctg_datatype::Signature,
-        corrupt_idx: Option<usize>,
-    ) -> Result<SendRequest> {
-        let n = regions.len() as u64;
-        let shape = RegionShape::of(&regions, p.mem.cacheline);
-        self.charge_exact(p.send_overhead(false));
-        self.charge_exact(p.iov_overhead_shaped(n, shape.subline));
-        self.cache = CacheState::Warm;
-        let wire = p.iov_wire_time(bytes, n) * self.jitter.factor();
-
-        // The simulated NIC's DMA gather: region bytes move in region
-        // order, which is byte-for-byte the pack order of the plan the
-        // regions came from.
-        let mut data = self.fabric().pool.take(bytes as usize);
-        let mut pos = 0usize;
-        for &(off, len) in &regions {
-            let lo = (origin as i64 + off) as usize;
-            let len = len as usize;
-            data[pos..pos + len].copy_from_slice(&buf[lo..lo + len]);
-            pos += len;
-        }
-        debug_assert_eq!(pos, bytes as usize);
-        if let Some(idx) = corrupt_idx {
-            data[idx] ^= 0xFF;
-            data.poison();
-        }
-
-        let (tx, rx) = reply_channel();
-        let proto = Protocol::Rendezvous { sender_ready: self.clock.now(), wire, reply: tx };
-        self.post(dst, tag, Payload::Iovec { data, regions: regions.into() }, sig, proto, None);
-        Ok(SendRequest::new(SendState::Pending(rx)))
     }
 
     fn reserve_bsend(&mut self, needed: u64) -> Result<(Arc<AtomicU64>, u64)> {
@@ -785,10 +579,10 @@ impl Comm {
                 panic!("fault plan: injected crash of rank {me} at op {op}");
             }
             if plan.should_crash_recv(me, op) {
-                // Receiver-side crash mid-stream: surfaces as a typed
-                // error rather than a panic. Poisoning the fabric first
-                // means a sender pumping chunks at this rank observes
-                // `PeerFailed` instead of hanging on the ring.
+                // Receiver-side crash: surfaces as a typed error rather
+                // than a panic. Poisoning the fabric first means a sender
+                // blocked on a rendezvous with this rank observes
+                // `PeerFailed` instead of waiting out the watchdog.
                 sup.with_faults(me, |s| s.recv_crashes += 1);
                 sup.poison(me);
                 return Err(self.fabric().enrich(CoreError::RankPanicked {
@@ -869,19 +663,8 @@ impl Comm {
         } else {
             total / dtype.size() as usize
         };
-        // `Some(shape)` once the payload was delivered by a direct iovec
-        // scatter into the receiver's regions; governs the scatter charge
-        // below (sub-cacheline regions pay the full descriptor cost).
-        let mut iov_scattered: Option<RegionShape> = None;
-        match env.payload {
-            Payload::Whole(data) => {
-                let consumed = dt::unpack_from(&data, dtype, incoming_count, buf, origin)?;
-                crate::invariants::check_recv_conservation(
-                    total,
-                    consumed,
-                    dtype.size() as usize,
-                );
-            }
+        let consumed = match env.payload {
+            Payload::Whole(data) => dt::unpack_from(&data, dtype, incoming_count, buf, origin)?,
             Payload::Lent(lease) => {
                 // The guard marks the lease done and replies on every
                 // exit, so an unpack error still releases the sender.
@@ -889,72 +672,23 @@ impl Comm {
                     what: "lent send (its sender gave up before the match)",
                 })?;
                 let pool = &self.fabric().pool;
-                let consumed =
-                    deliver_lent(&lent, total, pool, dtype, incoming_count, buf, origin)?;
-                crate::invariants::check_recv_conservation(
-                    total,
-                    consumed,
-                    dtype.size() as usize,
-                );
+                deliver_lent(&lent, total, pool, dtype, incoming_count, buf, origin)?
             }
-            Payload::Chunked { rx, audit, .. } => {
-                self.drain_chunks(
-                    rx, audit, total, dtype, incoming_count, buf, origin, env_src, env_tag,
-                )?;
-            }
-            Payload::Iovec { data, regions } => {
-                if crate::invariants::oracle_checks_enabled() {
-                    let sum: u64 = regions.iter().map(|&(_, l)| l).sum();
-                    if sum as usize != data.len() {
-                        crate::invariants::violation(&format!(
-                            "iovec region lengths sum to {sum} but payload is {} bytes",
-                            data.len()
-                        ));
-                    }
-                }
-                // Scatter straight into the *receiver's* regions (its own
-                // plan over its own type — the sender's list only
-                // describes the sender's layout). When the receive layout
-                // has no bounded region list, fall back to the unpack
-                // engine; the payload bytes are pack-ordered either way.
-                let rregions = dt::plan_for(dtype, incoming_count)
-                    .and_then(|pl| pl.regions(crate::selector::iov_max_regions()));
-                match rregions {
-                    Some(rr) => {
-                        dt::check_span(origin, dt::user_span(dtype, incoming_count), buf.len())?;
-                        let mut pos = 0usize;
-                        for &(off, len) in &rr {
-                            if pos >= data.len() {
-                                break;
-                            }
-                            let len = (len as usize).min(data.len() - pos);
-                            let lo = (origin as i64 + off) as usize;
-                            buf[lo..lo + len].copy_from_slice(&data[pos..pos + len]);
-                            pos += len;
-                        }
-                        crate::invariants::check_recv_conservation(
-                            total,
-                            pos,
-                            dtype.size() as usize,
-                        );
-                        iov_scattered =
-                            Some(RegionShape::of(&rr, p.mem.cacheline));
-                    }
-                    None => {
-                        let consumed =
-                            dt::unpack_from(&data, dtype, incoming_count, buf, origin)?;
-                        crate::invariants::check_recv_conservation(
-                            total,
-                            consumed,
-                            dtype.size() as usize,
-                        );
-                    }
-                }
-            }
-        }
+        };
+        crate::invariants::check_recv_conservation(total, consumed, dtype.size() as usize);
         if !dtype.is_contiguous_run(incoming_count as u64) {
             let t_scatter = self.clock.now();
-            match iov_scattered {
+            // An iovec-billed transfer scatters straight into the
+            // receiver's own regions (its own plan over its own type: the
+            // sender's shape only describes the sender's layout). A
+            // receive layout without a bounded region list pays the
+            // unpack engine's scatter.
+            let shape = if env.iov {
+                Regions::of(dtype, incoming_count, p.mem.cacheline).shape()
+            } else {
+                None
+            };
+            match shape {
                 Some(shape) => {
                     // Direct placement: exact per-region charges, no
                     // jitter — the iovec clock is a pure function of the
@@ -989,162 +723,6 @@ impl Comm {
             Some(env_tag),
         );
         Ok(RecvStatus { source: env_src, tag: env_tag, bytes: total })
-    }
-
-    /// Drain a pipelined payload, unpacking each chunk in place via the
-    /// receive type's compiled plan. Sender chunks are aligned to the
-    /// *send* plan, so a carry buffer bridges cuts that fall mid-instance
-    /// for the receive plan; bytes past the whole instances the posted
-    /// receive consumes are drained and dropped, exactly like the
-    /// monolithic unpack. Purely wall-clock: no virtual charges here.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_chunks(
-        &mut self,
-        rx: Receiver<PooledBuf>,
-        audit: Option<Arc<crate::invariants::StreamAudit>>,
-        total: usize,
-        dtype: &Datatype,
-        incoming_count: usize,
-        buf: &mut [u8],
-        origin: usize,
-        src: usize,
-        tag: i32,
-    ) -> Result<()> {
-        let plan = dt::plan_for(dtype, incoming_count);
-        // Bytes the posted receive actually delivers into `buf`.
-        let fit = plan.as_ref().map(|pl| pl.packed_len()).unwrap_or(0);
-        let me = self.global_rank(self.rank());
-        let sup = Arc::clone(&self.fabric().supervision);
-        let deadline = Instant::now() + sup.timeout();
-        sup.set_blocked(me, Some("pipelined chunk arrival"));
-        let mut pos = 0usize;
-        let mut carry: Vec<u8> = Vec::new();
-        let mut received = 0usize;
-        let mut cseq: u32 = 0;
-        let mut out: Result<()> = Ok(());
-        'drain: while received < total {
-            let cbuf = loop {
-                if let Some(rank) = sup.failed_rank() {
-                    if let Ok(c) = rx.try_recv() {
-                        break c;
-                    }
-                    out = Err(CoreError::PeerFailed { rank });
-                    break 'drain;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    out = Err(CoreError::deadlock("pipelined chunk arrival"));
-                    break 'drain;
-                }
-                let slice = (deadline - now).min(poll_slice());
-                match rx.recv_timeout(slice) {
-                    Ok(c) => break c,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        out = Err(match sup.failed_rank() {
-                            Some(rank) => CoreError::PeerFailed { rank },
-                            None => CoreError::deadlock("pipelined chunk arrival"),
-                        });
-                        break 'drain;
-                    }
-                }
-            };
-            let n = cbuf.len();
-            received += n;
-            if let Some(a) = &audit {
-                a.drain(n);
-            }
-            // Depth samples the ring occupancy at drain time including
-            // this chunk: 1 = the receiver caught the sender.
-            let ring_depth = rx.len() as u32 + 1;
-            let t_now = self.clock.now();
-            self.trace_stream(
-                crate::trace::EventKind::Chunk,
-                t_now,
-                Some(src),
-                n,
-                Some(tag),
-                Some(cseq),
-                Some(ring_depth),
-            );
-            let seq = cseq;
-            cseq += 1;
-            // Bytes that detour through the carry buffer (chunk cuts that
-            // fall mid-instance for the receive plan) are traced as a
-            // zero-width Copy so the analyzer can price the extra memcpy;
-            // no virtual time is charged, exactly like the Chunk marker.
-            let trace_carry = |me: &mut Self, carried: usize| {
-                if carried > 0 {
-                    let t = me.clock.now();
-                    me.trace_stream(
-                        crate::trace::EventKind::Copy,
-                        t,
-                        Some(src),
-                        carried,
-                        Some(tag),
-                        Some(seq),
-                        None,
-                    );
-                }
-            };
-            let Some(pl) = &plan else { // no plan: assemble, unpack at the end
-                trace_carry(self, cbuf.len());
-                carry.extend_from_slice(&cbuf);
-                continue;
-            };
-            if pos + carry.len() >= fit {
-                continue; // trailing partial instance: drained, dropped
-            }
-            // Bytes still wanted at the fit boundary, net of what the
-            // carry buffer already holds — taking `fit - pos` here would
-            // strand the trailing partial instance in the carry buffer.
-            let take = (fit - pos - carry.len()).min(n);
-            let aligned_end = pl.align_chunk((pos + take) as u64) as usize;
-            if carry.is_empty() && aligned_end == pos + take {
-                // Fast path: the chunk ends on a cut of the receive plan
-                // too — unpack straight from the ring buffer, in place.
-                if aligned_end > pos {
-                    if let Err(e) = pl.unpack_range_from(&cbuf[..take], buf, origin, pos as u64, aligned_end as u64) {
-                        out = Err(e.into());
-                        break 'drain;
-                    }
-                    pos = aligned_end;
-                }
-            } else {
-                trace_carry(self, take);
-                carry.extend_from_slice(&cbuf[..take]);
-                let hi = pl.align_chunk((pos + carry.len()) as u64) as usize;
-                if hi > pos {
-                    let used = hi - pos;
-                    if let Err(e) = pl.unpack_range_from(&carry[..used], buf, origin, pos as u64, hi as u64) {
-                        out = Err(e.into());
-                        break 'drain;
-                    }
-                    carry.drain(..used);
-                    pos = hi;
-                }
-            }
-        }
-        sup.set_blocked(me, None);
-        out.map_err(|e| self.fabric().enrich(e))?;
-        if plan.is_none() {
-            let consumed = dt::unpack_from(&carry, dtype, incoming_count, buf, origin)?;
-            crate::invariants::check_recv_conservation(total, consumed, dtype.size() as usize);
-        } else {
-            debug_assert!(carry.is_empty() && pos == fit.min(total));
-            if crate::invariants::oracle_checks_enabled() {
-                if !carry.is_empty() || pos != fit.min(total) {
-                    crate::invariants::violation(
-                        "chunk drain left a partial instance stranded in the carry buffer",
-                    );
-                }
-                crate::invariants::check_recv_conservation(total, pos, dtype.size() as usize);
-            }
-        }
-        if let Some(a) = &audit {
-            a.finish();
-        }
-        Ok(())
     }
 
     /// Receive into a contiguous byte buffer.

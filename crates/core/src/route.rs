@@ -1,23 +1,35 @@
 //! The send route: one pure decision per send.
 //!
 //! [`route`] turns what is known about a send before any byte moves —
-//! mode, size, layout, eager limit, streaming eligibility, compiled
+//! mode, size, layout, eager limit, whether the sender blocks, compiled
 //! plan and region shape, the datapath in force, and the fault plan's
 //! decisions for this `(rank, op)` — into a [`SendRoute`]: the protocol
-//! path, the staging engine, the buffer source and the ordered rungs of
-//! the degradation ladder to count and trace. `Comm::send_impl` executes
-//! the route; `Comm::pack` shares its staging decision ([`staging`]);
+//! path, the engine the send is billed as, whether it lends its buffer
+//! or stages it (and why), and the ordered rungs of the degradation
+//! ladder to count and trace. `Comm::send_impl` executes the route;
+//! `Comm::pack` shares its staging decision ([`staging`]);
 //! [`send_engine`] reports its engine choice to callers that record it.
+//!
+//! One mover serves every blocking standard or synchronous rendezvous:
+//! the receiver copies straight from the lent user buffer, whichever
+//! engine the selector billed. Pack, iov and elem only decide the
+//! virtual-time charges. Only the protocol (eager, buffered, nonblocking)
+//! and the fault rungs that change the bytes or their buffers force a
+//! staged copy.
 //!
 //! Every fault decision is a pure function of `(plan, rank, op)`, so a
 //! rerun of the same seed takes the same route.
 
-use nonctg_datatype::{self as dt, Datatype, DatatypeError, Primitive};
-use nonctg_simnet::{Access, Datapath, FaultPlan, PipelineSpec, Platform, SendFault};
+use nonctg_datatype::{self as dt, Datatype, DatatypeError, PackPlan, Primitive};
+use nonctg_simnet::{Access, Datapath, FaultPlan, Platform, SendFault};
 
 use crate::fabric::FaultStats;
-use crate::p2p::{CHUNK_DEMOTE_THRESHOLD, MAX_SEND_ATTEMPTS};
+use crate::p2p::MAX_SEND_ATTEMPTS;
 use crate::selector::{self, RegionShape};
+
+/// Forecast chunk faults on one send at or above which the ladder counts
+/// a pipeline demotion instead of chunk retries.
+pub const CHUNK_DEMOTE_THRESHOLD: u64 = 3;
 
 /// The MPI send flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +59,8 @@ impl FaultSite<'_> {
     }
 }
 
-/// A send's region list: not looked up (or no plan), over the iovec
-/// cap, or bounded with this shape.
+/// A region list: not looked up (or no plan), over the iovec cap, or
+/// bounded with this shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Regions {
     Absent,
@@ -57,7 +69,19 @@ pub(crate) enum Regions {
 }
 
 impl Regions {
-    fn shape(self) -> Option<RegionShape> {
+    /// The region list of `count` x `dtype`, summarized against a
+    /// `cacheline`-byte line.
+    pub fn of(dtype: &Datatype, count: usize, cacheline: u64) -> Regions {
+        match dt::plan_for(dtype, count) {
+            None => Regions::Absent,
+            Some(plan) => match plan.regions(selector::iov_max_regions()) {
+                Some(r) => Regions::Bounded(RegionShape::of(&r, cacheline)),
+                None => Regions::Capped,
+            },
+        }
+    }
+
+    pub fn shape(self) -> Option<RegionShape> {
         match self {
             Regions::Bounded(s) => Some(s),
             Regions::Absent | Regions::Capped => None,
@@ -76,12 +100,12 @@ pub(crate) struct RouteInput<'a> {
     pub contiguous: bool,
     /// Largest eager payload for this datatype.
     pub eager_limit: u64,
-    /// Whether a chunked stream is allowed (blocking sends only).
-    pub may_stream: bool,
-    pub pipeline: PipelineSpec,
-    /// Whether a compiled plan exists for streaming (looked up only when
-    /// [`RouteInput::stream_candidate`]).
-    pub stream_plan: bool,
+    /// Whether the sender blocks until the transfer completes (`send`,
+    /// `ssend`), so its buffer may be lent.
+    pub blocking: bool,
+    /// Cuts of the fault plan's notional chunk schedule (counted only by
+    /// [`RouteInput::lookup_chunks`]; 0 otherwise).
+    pub chunks: u64,
     /// Looked up only when [`RouteInput::iov_eligible`].
     pub regions: Regions,
     /// The datapath in force (`Auto` consults the selector).
@@ -105,7 +129,7 @@ impl<'a> RouteInput<'a> {
         dtype: &Datatype,
         count: usize,
         mode: SendMode,
-        may_stream: bool,
+        blocking: bool,
         origin: usize,
         buf_len: usize,
     ) -> dt::Result<RouteInput<'a>> {
@@ -118,9 +142,8 @@ impl<'a> RouteInput<'a> {
             access,
             contiguous: matches!(access, Access::Contiguous),
             eager_limit: p.eager_threshold(is_packed),
-            may_stream,
-            pipeline: p.effective_pipeline(),
-            stream_plan: false,
+            blocking,
+            chunks: 0,
             regions: Regions::Absent,
             datapath: p.effective_datapath(),
             platform: p,
@@ -132,24 +155,22 @@ impl<'a> RouteInput<'a> {
     }
 
     /// Look the region list up when the zero-copy path may be considered
-    /// ([`RouteInput::iov_eligible`]), record its shape, and return it
-    /// for the executor: `None` when ineligible, without a plan, or over
-    /// the [`selector::iov_max_regions`] cap.
-    pub fn lookup_regions(
-        &mut self,
-        dtype: &Datatype,
-        count: usize,
-        fault: Option<FaultSite>,
-    ) -> Option<Vec<(i64, u64)>> {
-        if !self.iov_eligible(fault) {
-            return None;
+    /// ([`RouteInput::iov_eligible`]) and record its shape.
+    pub fn lookup_regions(&mut self, dtype: &Datatype, count: usize, fault: Option<FaultSite>) {
+        if self.iov_eligible(fault) {
+            self.regions = Regions::of(dtype, count, self.platform.mem.cacheline);
         }
-        let regions = dt::plan_for(dtype, count)?.regions(selector::iov_max_regions());
-        self.regions = match &regions {
-            Some(r) => Regions::Bounded(RegionShape::of(r, self.platform.mem.cacheline)),
-            None => Regions::Capped,
+    }
+
+    /// Count the notional chunk cuts when the fault plan forecasts chunk
+    /// faults for this send ([`RouteInput::chunk_forecast`]).
+    pub fn lookup_chunks(&mut self, dtype: &Datatype, count: usize, fault: Option<FaultSite>) {
+        let Some(f) = fault.filter(|f| self.chunk_forecast(f.plan)) else {
+            return;
         };
-        regions
+        if let Some(plan) = dt::plan_for(dtype, count) {
+            self.chunks = chunk_cuts(&plan, f.plan.chunk_schedule.chunk_bytes);
+        }
     }
 
     /// The engine for the send's non-contiguous bytes: the forced
@@ -168,16 +189,17 @@ impl<'a> RouteInput<'a> {
         self.mode != SendMode::Synchronous && self.bytes <= self.eager_limit
     }
 
-    /// A large derived-type rendezvous from a blocking send may stream
-    /// its payload as chunks, so the receiver unpacks chunk k while the
-    /// sender packs k+1. An isend may not: blocked pumping chunks, it
-    /// would deadlock a head-to-head sendrecv.
-    pub fn stream_candidate(&self) -> bool {
-        self.may_stream
+    /// Whether `plan` forecasts chunk faults for this send: a blocking,
+    /// non-contiguous standard or synchronous rendezvous at or above the
+    /// plan's notional chunk threshold. The forecast stands in for the
+    /// chunk stream such sends once took, so chaos runs keep their
+    /// ladder counts.
+    pub fn chunk_forecast(&self, plan: &FaultPlan) -> bool {
+        self.blocking
             && !self.eager()
             && !self.contiguous
             && self.mode != SendMode::Buffered
-            && self.bytes >= self.pipeline.threshold_bytes
+            && self.bytes >= plan.chunk_schedule.threshold_bytes
     }
 
     /// Whether the zero-copy path may be considered, and so whether the
@@ -192,17 +214,32 @@ impl<'a> RouteInput<'a> {
     }
 }
 
+/// The instance-aligned cuts of `plan`'s packed message into chunks of
+/// about `chunk` bytes: each cut ends at the block boundary at or below
+/// the target, and a target below one block doubles until it advances.
+fn chunk_cuts(plan: &PackPlan, chunk: u64) -> u64 {
+    let total = plan.packed_len() as u64;
+    let (mut lo, mut cuts) = (0u64, 0u64);
+    while lo < total {
+        let mut step = chunk.max(1);
+        let mut hi = plan.align_chunk(lo + step);
+        while hi <= lo {
+            step *= 2;
+            hi = plan.align_chunk(lo + step);
+        }
+        lo = hi;
+        cuts += 1;
+    }
+    cuts
+}
+
 /// How the payload moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Path {
-    /// Staged and deposited without a handshake.
+    /// Deposited without a handshake.
     Eager,
-    /// Staged whole, then a handshake and one transfer.
+    /// A handshake, then one transfer.
     Rendezvous,
-    /// Packed and pushed chunk by chunk through a bounded ring.
-    Chunked,
-    /// The region list ships; the NIC gathers the user regions.
-    Iovec,
     /// Every attempt fails: charge the full backoff and give up.
     Failed,
 }
@@ -247,14 +284,59 @@ pub(crate) enum BufferSource {
     Owned,
 }
 
+/// Why a send stages its payload instead of lending its buffer: its
+/// protocol, or the fault rung that forced it (in route order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageCause {
+    /// `bsend`: the payload goes through the attached buffer.
+    Buffered,
+    /// `isend`: the sender returns before the transfer completes.
+    Nonblocking,
+    /// An eager message is deposited before any match.
+    Eager,
+    /// The compiled plan failed to build: the segment walk stages.
+    PlanFallback,
+    /// The payload pool is exhausted: an owned buffer stages.
+    PoolExhaustion,
+    /// A parallel-pack worker failed: the serial plan stages.
+    SerialFallback,
+    /// A payload byte is corrupted in flight, in a staged copy.
+    Corruption,
+}
+
+impl StageCause {
+    /// Every cause, in route order (`ALL[c as usize] == c`).
+    pub const ALL: [StageCause; 7] = [
+        StageCause::Buffered,
+        StageCause::Nonblocking,
+        StageCause::Eager,
+        StageCause::PlanFallback,
+        StageCause::PoolExhaustion,
+        StageCause::SerialFallback,
+        StageCause::Corruption,
+    ];
+
+    /// Snake-case name, as written to `metrics.json`.
+    pub fn label(self) -> &'static str {
+        match self {
+            StageCause::Buffered => "buffered",
+            StageCause::Nonblocking => "nonblocking",
+            StageCause::Eager => "eager",
+            StageCause::PlanFallback => "plan_fallback",
+            StageCause::PoolExhaustion => "pool_exhaustion",
+            StageCause::SerialFallback => "serial_fallback",
+            StageCause::Corruption => "corruption",
+        }
+    }
+}
+
 /// One rung of the degradation ladder: a faster datapath swapped for a
 /// slower but correct one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Rung {
-    /// The compiled plan failed to build: walk the segments, no stream,
-    /// no iovec.
+    /// The compiled plan failed to build: walk the segments, no iovec.
     PlanFallback,
-    /// Too many forecast chunk faults: monolithic instead of chunked.
+    /// Too many forecast chunk faults on the notional chunk schedule.
     PipelineDemotion,
     /// The payload pool is exhausted: owned buffers.
     PoolExhaustion,
@@ -291,6 +373,12 @@ pub(crate) enum Step {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SendRoute {
     pub path: Path,
+    /// Billed as a zero-copy iovec rendezvous over regions of this shape:
+    /// the sender pays per-region descriptors and the DMA-gather wire
+    /// instead of a staging gather, and the receiver its own region
+    /// scatter. `None` bills the staged engines.
+    pub iov: Option<RegionShape>,
+    /// The engine that packs a staged payload.
     pub staging: Staging,
     pub buffer: BufferSource,
     /// Backoffs to charge before the send goes through (or fails).
@@ -302,9 +390,19 @@ pub(crate) struct SendRoute {
     /// Link-degradation latency multiplier (1 = none).
     pub latency_factor: f64,
     pub steps: Vec<Step>,
-    /// Lend the user buffer to the receiver instead of staging it
-    /// ([`lends`]).
-    pub lend: bool,
+    /// Forecast chunk faults to count as chunk retries.
+    pub chunk_retries: u64,
+    /// Why the payload is staged; `None` lends the user buffer to the
+    /// receiver ([`SendRoute::lends`]).
+    pub staged: Option<StageCause>,
+}
+
+impl SendRoute {
+    /// Whether the send lends its user buffer to the receiver instead of
+    /// staging it.
+    pub fn lends(&self) -> bool {
+        self.path == Path::Rendezvous && self.staged.is_none()
+    }
 }
 
 /// Parallel pack: more than one worker and a payload at or above the
@@ -355,6 +453,7 @@ pub(crate) fn route(i: &RouteInput, fault: Option<FaultSite>) -> Result<SendRout
     let path = if i.eager() { Path::Eager } else { Path::Rendezvous };
     let mut r = SendRoute {
         path,
+        iov: None,
         staging,
         buffer: BufferSource::Pooled,
         retries: 0,
@@ -362,9 +461,12 @@ pub(crate) fn route(i: &RouteInput, fault: Option<FaultSite>) -> Result<SendRout
         corrupt: None,
         latency_factor: 1.0,
         steps: Vec::new(),
-        lend: false,
+        chunk_retries: 0,
+        staged: None,
     };
-    let mut stream = i.stream_candidate() && i.stream_plan;
+    // Forecast chunk faults below the demotion threshold: counted as
+    // chunk retries unless the send is billed as iovec or elem.
+    let mut chunk_faults = None;
     if let Some(f) = fault {
         let (sf, fails) = f.send(i.bytes);
         if fails {
@@ -378,21 +480,17 @@ pub(crate) fn route(i: &RouteInput, fault: Option<FaultSite>) -> Result<SendRout
             .then(|| f.plan.corrupt_index(f.rank, f.op, i.bytes as usize));
         r.latency_factor = f.plan.latency_factor(f.op);
         if stage_rung == Some(Rung::PlanFallback) {
-            stream = false;
             r.steps.push(Step::Demote(Rung::PlanFallback));
-        }
-        // Chunk-fault forecast: with this op's chunk schedule known up
-        // front, repeated faults demote the stream to the monolithic
-        // rendezvous before any chunk machinery spins up. Below the
-        // threshold the stream absorbs each fault by re-packing.
-        if stream {
-            let n_chunks = i.bytes.div_ceil(i.pipeline.chunk_bytes.max(1));
-            let faulty = (0..n_chunks)
+        } else if i.chunks > 0 && i.chunk_forecast(f.plan) {
+            // Each cut of the notional chunk schedule draws its own
+            // fault; repeated faults demote, fewer are retried.
+            let faulty = (0..i.chunks)
                 .filter(|&c| f.plan.chunk_decision(f.rank, f.op, c).is_faulty())
-                .count();
+                .count() as u64;
             if faulty >= CHUNK_DEMOTE_THRESHOLD {
-                stream = false;
                 r.steps.push(Step::Demote(Rung::PipelineDemotion));
+            } else {
+                chunk_faults = Some(faulty);
             }
         }
         if f.plan.pool_exhausted(f.rank, f.op) {
@@ -416,9 +514,9 @@ pub(crate) fn route(i: &RouteInput, fault: Option<FaultSite>) -> Result<SendRout
             {
                 r.steps.push(Step::Demote(Rung::IovecDemotion))
             }
-            (Datapath::Iov, Regions::Bounded(_)) => {
-                r.path = Path::Iovec;
-                stream = false;
+            (Datapath::Iov, Regions::Bounded(shape)) => {
+                r.iov = Some(shape);
+                chunk_faults = None;
             }
             // A region list over the cap deterministically demotes a
             // forced iovec send, visibly. Eager and plan-failure
@@ -427,33 +525,41 @@ pub(crate) fn route(i: &RouteInput, fault: Option<FaultSite>) -> Result<SendRout
             (Datapath::Iov, Regions::Capped) => r.steps.push(Step::Demote(Rung::IovecDemotion)),
             (Datapath::Elem, _) => {
                 staging = Staging::Walk;
-                stream = false;
+                chunk_faults = None;
             }
             _ => {}
         }
     }
     r.staging = staging;
-    if stream {
-        r.path = Path::Chunked;
-    }
-    r.lend = lends(i, &r);
+    r.chunk_retries = chunk_faults.unwrap_or(0);
+    r.staged = stage_cause(i, &r, stage_rung);
     Ok(r)
 }
 
-/// Whether a decided route lends the user buffer to the receiver instead
-/// of staging it. Only a blocking standard or synchronous send
-/// (`may_stream`, which also keeps `isend` off the chunk stream) on the
-/// monolithic rendezvous lends, and only when its bytes go out clean
-/// through the cached plan: no corrupt byte, no owned buffers, no serial
-/// plan or segment walk. Faults that only move virtual time (retries,
-/// delay, link degradation) still lend.
-fn lends(i: &RouteInput, r: &SendRoute) -> bool {
-    i.may_stream
-        && i.mode != SendMode::Buffered
-        && r.path == Path::Rendezvous
-        && r.corrupt.is_none()
-        && r.buffer == BufferSource::Pooled
-        && r.staging == Staging::Plan
+/// Why a decided route stages its payload, or `None` when it lends.
+/// Every blocking standard or synchronous rendezvous lends, whatever
+/// engine it is billed as, unless a fault rung changes the bytes or the
+/// buffers they move through: the segment walk after a plan failure,
+/// owned buffers, the serial plan, or a corrupt byte. Faults that only
+/// move virtual time (retries, delay, link degradation) still lend.
+fn stage_cause(i: &RouteInput, r: &SendRoute, rung: Option<Rung>) -> Option<StageCause> {
+    if i.mode == SendMode::Buffered {
+        Some(StageCause::Buffered)
+    } else if !i.blocking {
+        Some(StageCause::Nonblocking)
+    } else if r.path == Path::Eager {
+        Some(StageCause::Eager)
+    } else if rung == Some(Rung::PlanFallback) {
+        Some(StageCause::PlanFallback)
+    } else if r.buffer == BufferSource::Owned {
+        Some(StageCause::PoolExhaustion)
+    } else if rung == Some(Rung::SerialFallback) {
+        Some(StageCause::SerialFallback)
+    } else if r.corrupt.is_some() {
+        Some(StageCause::Corruption)
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -464,8 +570,8 @@ mod tests {
 
     static SKX: std::sync::LazyLock<Platform> = std::sync::LazyLock::new(Platform::skx_impi);
 
-    /// A 1 MiB non-contiguous standard rendezvous with a bounded list of
-    /// 128 long regions, below the streaming threshold.
+    /// A 1 MiB non-contiguous standard blocking rendezvous with a bounded
+    /// list of 128 long regions.
     fn input(datapath: Datapath) -> RouteInput<'static> {
         RouteInput {
             mode: SendMode::Standard,
@@ -473,12 +579,8 @@ mod tests {
             access: Access::Strided { blocklen: 8192, stride: 16384 },
             contiguous: false,
             eager_limit: 64 << 10,
-            may_stream: true,
-            pipeline: PipelineSpec {
-                threshold_bytes: 4 * MIB,
-                chunk_bytes: MIB,
-            },
-            stream_plan: true,
+            blocking: true,
+            chunks: 0,
             regions: Regions::Bounded(RegionShape { n: 128, subline: 0 }),
             datapath,
             platform: &SKX,
@@ -489,20 +591,27 @@ mod tests {
         }
     }
 
+    /// [`input`] at 8 MiB, over four notional 2 MiB chunks.
+    fn large(datapath: Datapath) -> RouteInput<'static> {
+        RouteInput {
+            bytes: 8 * MIB,
+            chunks: 4,
+            buf_len: 16 * MIB as usize,
+            span: Some((0, 16 * MIB as i128)),
+            ..input(datapath)
+        }
+    }
+
     fn clean(i: &RouteInput) -> SendRoute {
         route(i, None).expect("in-bounds buffer")
     }
 
+    fn site(plan: &FaultPlan) -> FaultSite<'_> {
+        FaultSite { plan, rank: 0, op: 7 }
+    }
+
     fn faulty(i: &RouteInput, plan: &FaultPlan) -> SendRoute {
-        route(
-            i,
-            Some(FaultSite {
-                plan,
-                rank: 0,
-                op: 7,
-            }),
-        )
-        .expect("in-bounds buffer")
+        route(i, Some(site(plan))).expect("in-bounds buffer")
     }
 
     fn path_staging(r: &SendRoute) -> (Path, Staging, BufferSource) {
@@ -512,39 +621,27 @@ mod tests {
     #[test]
     fn each_datapath_routes_without_faults() {
         use BufferSource::Pooled;
+        let shape = RegionShape { n: 128, subline: 0 };
         let pack = clean(&input(Datapath::Pack));
-        assert_eq!(
-            path_staging(&pack),
-            (Path::Rendezvous, Staging::Plan, Pooled)
-        );
+        assert_eq!(path_staging(&pack), (Path::Rendezvous, Staging::Plan, Pooled));
+        assert_eq!(pack.iov, None);
         assert!(pack.steps.is_empty());
         let iov = clean(&input(Datapath::Iov));
-        assert_eq!(iov.path, Path::Iovec);
+        assert_eq!((iov.path, iov.iov), (Path::Rendezvous, Some(shape)));
         assert!(iov.steps.is_empty());
         let elem = clean(&input(Datapath::Elem));
-        assert_eq!(
-            path_staging(&elem),
-            (Path::Rendezvous, Staging::Walk, Pooled)
-        );
+        assert_eq!(path_staging(&elem), (Path::Rendezvous, Staging::Walk, Pooled));
+        assert_eq!(elem.iov, None);
         let auto = clean(&input(Datapath::Auto));
         assert_eq!(auto.steps, vec![Step::Select(Datapath::Iov)]);
-        assert_eq!(auto.path, Path::Iovec);
+        assert_eq!(auto.iov, Some(shape));
         // Without a bounded list the selector falls back to pack.
-        let capped = clean(&RouteInput {
-            regions: Regions::Capped,
-            ..input(Datapath::Auto)
-        });
+        let capped = clean(&RouteInput { regions: Regions::Capped, ..input(Datapath::Auto) });
         assert_eq!(capped.steps, vec![Step::Select(Datapath::Pack)]);
-        assert_eq!(capped.path, Path::Rendezvous);
+        assert_eq!(capped.iov, None);
         // Contiguous sends never consult the selector.
-        let contiguous = clean(&RouteInput {
-            contiguous: true,
-            ..input(Datapath::Auto)
-        });
-        assert_eq!(
-            path_staging(&contiguous),
-            (Path::Rendezvous, Staging::Plan, Pooled)
-        );
+        let contiguous = clean(&RouteInput { contiguous: true, ..input(Datapath::Auto) });
+        assert_eq!(path_staging(&contiguous), (Path::Rendezvous, Staging::Plan, Pooled));
         assert!(contiguous.steps.is_empty());
     }
 
@@ -571,75 +668,32 @@ mod tests {
     }
 
     #[test]
-    fn protocol_follows_mode_size_and_streaming() {
-        let small = RouteInput {
-            bytes: 4096,
-            ..input(Datapath::Pack)
-        };
+    fn protocol_follows_mode_and_size() {
+        let small = RouteInput { bytes: 4096, ..input(Datapath::Pack) };
         assert_eq!(clean(&small).path, Path::Eager);
-        let ssend = RouteInput {
-            mode: SendMode::Synchronous,
-            ..small.clone()
-        };
+        let ssend = RouteInput { mode: SendMode::Synchronous, ..small.clone() };
         assert_eq!(clean(&ssend).path, Path::Rendezvous);
-        let big = RouteInput {
-            bytes: 8 * MIB,
-            ..input(Datapath::Pack)
-        };
-        assert!(big.stream_candidate());
-        assert_eq!(clean(&big).path, Path::Chunked);
-        let isend = RouteInput {
-            may_stream: false,
-            ..big.clone()
-        };
-        assert_eq!(clean(&isend).path, Path::Rendezvous);
-        let bsend = RouteInput {
-            mode: SendMode::Buffered,
-            ..big.clone()
-        };
+        // Size alone never changes the protocol past the eager limit.
+        for i in [large(Datapath::Pack), large(Datapath::Iov), large(Datapath::Elem)] {
+            assert_eq!(clean(&i).path, Path::Rendezvous);
+        }
+        let bsend = RouteInput { mode: SendMode::Buffered, ..large(Datapath::Pack) };
         assert_eq!(clean(&bsend).path, Path::Rendezvous);
         assert!(!bsend.iov_eligible(None));
-        let no_plan = RouteInput {
-            stream_plan: false,
-            ..big.clone()
-        };
-        assert_eq!(clean(&no_plan).path, Path::Rendezvous);
-        // Elem and iovec both rule out the stream.
-        assert_eq!(
-            clean(&RouteInput {
-                datapath: Datapath::Elem,
-                ..big.clone()
-            })
-            .path,
-            Path::Rendezvous
-        );
-        assert_eq!(
-            clean(&RouteInput {
-                datapath: Datapath::Iov,
-                ..big
-            })
-            .path,
-            Path::Iovec
-        );
     }
 
     #[test]
     fn capped_forced_iov_demotes_and_is_counted() {
-        let capped = RouteInput {
-            regions: Regions::Capped,
-            ..input(Datapath::Iov)
-        };
+        let capped = RouteInput { regions: Regions::Capped, ..input(Datapath::Iov) };
         let r = clean(&capped);
         assert_eq!(
             path_staging(&r),
             (Path::Rendezvous, Staging::Plan, BufferSource::Pooled)
         );
+        assert_eq!(r.iov, None);
         assert_eq!(r.steps, vec![Step::Demote(Rung::IovecDemotion)]);
         // No region list at all (eager, or no plan) falls through silently.
-        let absent = RouteInput {
-            regions: Regions::Absent,
-            ..input(Datapath::Iov)
-        };
+        let absent = RouteInput { regions: Regions::Absent, ..input(Datapath::Iov) };
         assert!(clean(&absent).steps.is_empty());
         let mut stats = FaultStats::default();
         Rung::IovecDemotion.count(&mut stats);
@@ -648,63 +702,76 @@ mod tests {
     }
 
     #[test]
-    fn plan_failure_rules_out_stream_and_iovec() {
-        let plan = FaultPlan::quiet(1).with_plan_failures(1.0);
-        let site = FaultSite {
-            plan: &plan,
-            rank: 0,
-            op: 7,
-        };
-        let big = RouteInput {
-            bytes: 8 * MIB,
-            ..input(Datapath::Iov)
-        };
-        assert!(big.stream_candidate());
-        assert!(!big.iov_eligible(Some(site)));
+    fn plan_failure_rules_out_iovec_and_the_chunk_forecast() {
+        let plan = FaultPlan::quiet(1).with_plan_failures(1.0).with_chunk_faults(1.0, 0.0);
+        let big = large(Datapath::Iov);
+        assert!(!big.iov_eligible(Some(site(&plan))));
         assert!(big.iov_eligible(None));
         // An ineligible send never looks its regions up.
-        let r = faulty(
-            &RouteInput {
-                regions: Regions::Absent,
-                ..big
-            },
-            &plan,
-        );
+        let r = faulty(&RouteInput { regions: Regions::Absent, ..big }, &plan);
         assert_eq!(
             path_staging(&r),
             (Path::Rendezvous, Staging::Walk, BufferSource::Pooled)
         );
         assert_eq!(r.steps, vec![Step::Demote(Rung::PlanFallback)]);
+        assert_eq!(r.chunk_retries, 0);
         // Contiguous sends have no plan to fail.
-        let contiguous = RouteInput {
-            contiguous: true,
-            ..input(Datapath::Pack)
-        };
+        let contiguous = RouteInput { contiguous: true, ..input(Datapath::Pack) };
         assert!(faulty(&contiguous, &plan).steps.is_empty());
     }
 
     #[test]
-    fn chunk_fault_forecast_demotes_to_monolithic() {
+    fn chunk_fault_forecast_demotes_or_counts_retries() {
         let plan = FaultPlan::quiet(1).with_chunk_faults(1.0, 0.0);
-        // 8 faulty chunks: at or over the threshold.
-        let eight = RouteInput {
-            bytes: 8 * MIB,
-            ..input(Datapath::Pack)
-        };
-        let r = faulty(&eight, &plan);
-        assert_eq!(r.path, Path::Rendezvous);
+        // Four faulty cuts: at or over the threshold.
+        let r = faulty(&large(Datapath::Pack), &plan);
         assert_eq!(r.steps, vec![Step::Demote(Rung::PipelineDemotion)]);
-        // 2 faulty chunks: below it, the stream runs and re-packs them.
-        let two = RouteInput {
-            pipeline: PipelineSpec {
-                threshold_bytes: 4 * MIB,
-                chunk_bytes: 4 * MIB,
-            },
-            ..eight
-        };
+        assert_eq!(r.chunk_retries, 0);
+        // The demotion is a count: the send still lends.
+        assert!(r.lends());
+        // Two faulty cuts: below it, each counts as a retried chunk.
+        let two = RouteInput { chunks: 2, ..large(Datapath::Pack) };
         let r = faulty(&two, &plan);
-        assert_eq!(r.path, Path::Chunked);
         assert!(r.steps.is_empty());
+        assert_eq!(r.chunk_retries, 2);
+        // Iovec and elem billing, an isend, a bsend and a send under the
+        // schedule's threshold forecast no retries.
+        let none = [
+            RouteInput { chunks: 2, ..large(Datapath::Iov) },
+            RouteInput { chunks: 2, ..large(Datapath::Elem) },
+            RouteInput { blocking: false, ..two.clone() },
+            RouteInput { mode: SendMode::Buffered, blocking: false, ..two.clone() },
+            RouteInput { bytes: 4 * MIB - 1, ..two.clone() },
+        ];
+        for i in &none {
+            assert_eq!(faulty(i, &plan).chunk_retries, 0, "{:?}", (i.mode, i.blocking, i.bytes));
+        }
+        // The schedule's threshold lives on the fault plan.
+        let low = plan.clone().with_chunk_schedule(MIB, MIB / 2);
+        let r = faulty(&RouteInput { chunks: 2, ..input(Datapath::Pack) }, &low);
+        assert_eq!(r.chunk_retries, 2);
+    }
+
+    #[test]
+    fn chunk_cuts_walk_instance_aligned_boundaries() {
+        let plan = |n: usize, block: usize| {
+            let t = Datatype::vector(n, block, 2 * block as i64, &Datatype::byte()).unwrap();
+            dt::plan_for(&t.commit(), 1).expect("plannable")
+        };
+        // 1000-byte blocks: a 2048-byte target cuts at 2000 (two cuts,
+        // as `div_ceil` would say), a 1500-byte target cuts at every
+        // block (four cuts where `div_ceil` says three).
+        let p = plan(4, 1000);
+        assert_eq!(chunk_cuts(&p, 2048), 2);
+        assert_eq!(chunk_cuts(&p, 1500), 4);
+        // A target below one block doubles until it advances.
+        assert_eq!(chunk_cuts(&p, 300), 4);
+        // Block-multiple targets: exactly `total / chunk` cuts.
+        let p = plan(8192, 16);
+        assert_eq!(chunk_cuts(&p, 16 << 10), 8);
+        assert_eq!(chunk_cuts(&p, 24), 8192);
+        // An empty message has no cuts.
+        assert_eq!(chunk_cuts(&plan(0, 16), 16), 0);
     }
 
     #[test]
@@ -715,6 +782,7 @@ mod tests {
             path_staging(&r),
             (Path::Rendezvous, Staging::Plan, BufferSource::Owned)
         );
+        assert_eq!(r.iov, None);
         assert_eq!(
             r.steps,
             vec![
@@ -736,25 +804,10 @@ mod tests {
             ]
         );
         // A pack that would not fan out has no worker to lose.
-        let serial = RouteInput {
-            parallel: false,
-            ..input(Datapath::Iov)
-        };
+        let serial = RouteInput { parallel: false, ..input(Datapath::Iov) };
         let r = faulty(&serial, &worker);
-        assert_eq!(r.path, Path::Iovec);
-        assert_eq!(
-            staging(
-                false,
-                false,
-                Some(FaultSite {
-                    plan: &worker,
-                    rank: 0,
-                    op: 7
-                })
-            )
-            .1,
-            None
-        );
+        assert!(r.iov.is_some() && r.lends());
+        assert_eq!(staging(false, false, Some(site(&worker))).1, None);
     }
 
     #[test]
@@ -763,22 +816,10 @@ mod tests {
         let r = faulty(&input(Datapath::Pack), &plan);
         assert_eq!(r.path, Path::Failed);
         assert_eq!(r.retries, MAX_SEND_ATTEMPTS - 1);
-        assert!(r.steps.is_empty());
-        assert!(!input(Datapath::Iov).iov_eligible(Some(FaultSite {
-            plan: &plan,
-            rank: 0,
-            op: 7
-        })));
-        for dp in [
-            Datapath::Pack,
-            Datapath::Iov,
-            Datapath::Elem,
-            Datapath::Auto,
-        ] {
-            let short = RouteInput {
-                buf_len: MIB as usize,
-                ..input(dp)
-            };
+        assert!(r.steps.is_empty() && !r.lends());
+        assert!(!input(Datapath::Iov).iov_eligible(Some(site(&plan))));
+        for dp in [Datapath::Pack, Datapath::Iov, Datapath::Elem, Datapath::Auto] {
+            let short = RouteInput { buf_len: MIB as usize, ..input(dp) };
             assert_eq!(
                 route(&short, None),
                 Err(DatatypeError::OutOfBounds {
@@ -791,56 +832,67 @@ mod tests {
     }
 
     #[test]
-    fn only_clean_blocking_rendezvous_lends() {
-        let base = input(Datapath::Pack);
-        let lends = |i: &RouteInput| clean(i).lend;
-        // Blocking standard and synchronous rendezvous, either layout.
-        assert!(lends(&base));
-        assert!(lends(&RouteInput { mode: SendMode::Synchronous, ..base.clone() }));
-        assert!(lends(&RouteInput { contiguous: true, ..base.clone() }));
-        // An isend, a bsend, an eager send, a chunk stream, an iovec
-        // send and the segment walk never lend.
-        let never = [
-            RouteInput { may_stream: false, ..base.clone() },
-            RouteInput { mode: SendMode::Buffered, may_stream: false, ..base.clone() },
-            RouteInput { mode: SendMode::Buffered, ..base.clone() },
-            RouteInput { bytes: 4096, ..base.clone() },
-            RouteInput { bytes: 8 * MIB, ..base.clone() },
-            input(Datapath::Iov),
-            input(Datapath::Elem),
-        ];
-        for i in &never {
-            assert!(!lends(i), "{:?}", path_staging(&clean(i)));
+    fn every_clean_blocking_rendezvous_lends() {
+        // Whatever engine bills it, whatever its size and layout, a clean
+        // blocking standard or synchronous rendezvous lends.
+        let mut lenders = Vec::new();
+        for dp in [Datapath::Pack, Datapath::Iov, Datapath::Elem, Datapath::Auto] {
+            lenders.push(input(dp));
+            lenders.push(large(dp));
+            lenders.push(RouteInput { regions: Regions::Capped, ..input(dp) });
+            lenders.push(RouteInput { mode: SendMode::Synchronous, ..input(dp) });
+            // A synchronous send lends at any size, eager-sized included.
+            lenders.push(RouteInput { mode: SendMode::Synchronous, bytes: 4096, ..input(dp) });
         }
-        // A synchronous send lends at any size, eager-sized included.
-        assert!(lends(&RouteInput { mode: SendMode::Synchronous, bytes: 4096, ..base.clone() }));
+        lenders.push(RouteInput { contiguous: true, ..input(Datapath::Pack) });
+        for i in &lenders {
+            let r = clean(i);
+            assert_eq!((r.path, r.staged), (Path::Rendezvous, None), "{:?}", i.datapath);
+            assert!(r.lends());
+        }
+        // The protocol stages an isend, a bsend and an eager send.
+        let base = input(Datapath::Pack);
+        let staged = [
+            (RouteInput { blocking: false, ..base.clone() }, StageCause::Nonblocking),
+            (
+                RouteInput { mode: SendMode::Buffered, blocking: false, ..base.clone() },
+                StageCause::Buffered,
+            ),
+            (RouteInput { bytes: 4096, ..base.clone() }, StageCause::Eager),
+        ];
+        for (i, cause) in &staged {
+            let r = clean(i);
+            assert_eq!(r.staged, Some(*cause));
+            assert!(!r.lends());
+        }
 
         // Faults: a corrupt byte, owned buffers, the serial plan and the
-        // segment walk force staging; faults that only move virtual time
-        // do not.
-        let staged = [
-            FaultPlan::quiet(1).with_corruption(1.0),
-            FaultPlan::quiet(1).with_pool_exhaustion(1.0),
-            FaultPlan::quiet(1).with_pack_worker_failures(1.0),
-            FaultPlan::quiet(1).with_plan_failures(1.0),
+        // segment walk after a plan failure force staging, and name it;
+        // faults that only move virtual time do not.
+        let forced = [
+            (FaultPlan::quiet(1).with_corruption(1.0), StageCause::Corruption),
+            (FaultPlan::quiet(1).with_pool_exhaustion(1.0), StageCause::PoolExhaustion),
+            (FaultPlan::quiet(1).with_pack_worker_failures(1.0), StageCause::SerialFallback),
+            (FaultPlan::quiet(1).with_plan_failures(1.0), StageCause::PlanFallback),
         ];
-        for plan in &staged {
+        for (plan, cause) in &forced {
             let r = faulty(&base, plan);
-            assert_eq!(r.path, Path::Rendezvous);
-            assert!(!r.lend, "{:?}", path_staging(&r));
+            assert_eq!((r.path, r.staged), (Path::Rendezvous, Some(*cause)));
         }
         let timed = [
             FaultPlan::quiet(1).with_delays(1.0, 1e-3),
             FaultPlan::quiet(1).with_link_degradation(0, 100, 4.0),
+            FaultPlan::quiet(1).with_chunk_faults(1.0, 0.0),
         ];
         for plan in &timed {
-            let r = faulty(&base, plan);
-            assert!(r.delay > 0.0 || r.latency_factor > 1.0);
-            assert!(r.lend);
+            let r = faulty(&large(Datapath::Pack), plan);
+            assert!(r.delay > 0.0 || r.latency_factor > 1.0 || !r.steps.is_empty());
+            assert!(r.lends());
         }
 
-        // Over a chaos schedule a route lends exactly when the rule holds,
-        // and retried sends still lend.
+        // Over a chaos schedule a route lends exactly when no fault rung
+        // forces staging, whatever the billed engine, and retried sends
+        // still lend.
         let mut retried_lends = 0;
         for seed in 0..16 {
             let plan = FaultPlan::chaos(seed)
@@ -850,13 +902,16 @@ mod tests {
                 .with_plan_failures(0.2)
                 .with_pack_worker_failures(0.2);
             for op in 0..32 {
-                let r = faulty(&RouteInput { bytes: MIB + op, ..base.clone() }, &plan);
-                let rule = r.path == Path::Rendezvous
-                    && r.corrupt.is_none()
-                    && r.buffer == BufferSource::Pooled
-                    && r.staging == Staging::Plan;
-                assert_eq!(r.lend, rule, "seed {seed} op {op}: {r:?}");
-                retried_lends += usize::from(r.lend && r.retries > 0);
+                let dp = [Datapath::Pack, Datapath::Iov, Datapath::Elem, Datapath::Auto][op % 4];
+                let i = RouteInput { bytes: MIB + op as u64, ..input(dp) };
+                let r = route(&i, Some(FaultSite { plan: &plan, rank: 0, op: op as u64 })).unwrap();
+                let forced = plan.plan_compile_fails(0, op as u64)
+                    || plan.pool_exhausted(0, op as u64)
+                    || plan.pack_worker_fails(0, op as u64)
+                    || r.corrupt.is_some();
+                let rule = r.path == Path::Rendezvous && !forced;
+                assert_eq!(r.lends(), rule, "seed {seed} op {op}: {r:?}");
+                retried_lends += usize::from(r.lends() && r.retries > 0);
             }
         }
         assert!(retried_lends > 0);
@@ -867,14 +922,8 @@ mod tests {
         let inputs = [
             input(Datapath::Auto),
             input(Datapath::Iov),
-            RouteInput {
-                bytes: 8 * MIB,
-                ..input(Datapath::Pack)
-            },
-            RouteInput {
-                bytes: 4096,
-                ..input(Datapath::Elem)
-            },
+            large(Datapath::Pack),
+            RouteInput { bytes: 4096, ..input(Datapath::Elem) },
         ];
         let mut seen = std::collections::HashSet::new();
         for seed in 0..8 {
@@ -886,24 +935,10 @@ mod tests {
             let again = plan.clone();
             for i in &inputs {
                 for op in 0..32 {
-                    let a = route(
-                        i,
-                        Some(FaultSite {
-                            plan: &plan,
-                            rank: 1,
-                            op,
-                        }),
-                    );
-                    let b = route(
-                        i,
-                        Some(FaultSite {
-                            plan: &again,
-                            rank: 1,
-                            op,
-                        }),
-                    );
+                    let a = route(i, Some(FaultSite { plan: &plan, rank: 1, op }));
+                    let b = route(i, Some(FaultSite { plan: &again, rank: 1, op }));
                     assert_eq!(a, b, "seed {seed} op {op}");
-                    seen.insert(format!("{:?}", a.map(|r| (r.path, r.staging, r.buffer))));
+                    seen.insert(format!("{:?}", a.map(|r| (r.path, r.staging, r.staged))));
                 }
             }
         }

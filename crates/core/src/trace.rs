@@ -46,15 +46,12 @@ pub enum EventKind {
     /// Receive-side scatter of a non-contiguous delivery into the user
     /// datatype; nests inside the enclosing `Recv` event.
     Unstage,
-    /// One chunk of a pipelined rendezvous payload crossing the ring
-    /// (sender: packed-and-posted; receiver: drained-and-delivered).
-    /// Zero-width in virtual time — the enclosing `Send`/`Recv` carries
-    /// the cost — so it never perturbs phase attribution.
-    Chunk,
     /// A graceful degradation: the runtime swapped a faster datapath for
-    /// a slower-but-correct one (pipelined→whole rendezvous, pooled→owned
-    /// staging, compiled→interpreted pack, parallel→serial pack).
-    /// Zero-width in virtual time, like `Chunk`.
+    /// a slower-but-correct one (pooled→owned staging,
+    /// compiled→interpreted pack, parallel→serial pack, iovec→pack), or
+    /// forecast too many chunk faults. Zero-width in virtual time — the
+    /// enclosing `Send` carries the cost — so it never perturbs phase
+    /// attribution.
     Demote,
     /// The adaptive datapath selector chose an engine (pack / iovec /
     /// element) for one non-contiguous send. Zero-width in virtual time;
@@ -64,7 +61,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in discriminant order (`ALL[k as usize] == k`).
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 16] = [
         EventKind::Send,
         EventKind::Bsend,
         EventKind::Isend,
@@ -79,7 +76,6 @@ impl EventKind {
         EventKind::Flush,
         EventKind::Stage,
         EventKind::Unstage,
-        EventKind::Chunk,
         EventKind::Demote,
         EventKind::Select,
     ];
@@ -104,7 +100,6 @@ impl EventKind {
             EventKind::Flush => "flush",
             EventKind::Stage => "stage",
             EventKind::Unstage => "unstage",
-            EventKind::Chunk => "chunk",
             EventKind::Demote => "demote",
             EventKind::Select => "select",
         }
@@ -132,17 +127,6 @@ pub struct TraceEvent {
     pub bytes: usize,
     /// Message tag, when applicable.
     pub tag: Option<i32>,
-    /// Position in an ordered stream: for [`EventKind::Chunk`] the chunk's
-    /// sequence number within its pipelined transfer (0-based, counted
-    /// independently on the sender and the receiver).
-    pub seq: Option<u32>,
-    /// Chunk-ring occupancy when the event was recorded, **including** the
-    /// chunk the event describes: on the sender, how many chunks sat in
-    /// the ring right after this one was posted; on the receiver, how many
-    /// were available right when this one was drained. A drain depth of 1
-    /// means the receiver caught the sender (no chunk was waiting behind
-    /// this one); a depth at ring capacity means the pipeline was full.
-    pub depth: Option<u32>,
 }
 
 impl TraceEvent {
@@ -340,7 +324,6 @@ pub fn ascii_timeline(traces: &[Vec<TraceEvent>], width: usize) -> String {
         EventKind::Flush => '.',
         EventKind::Stage => 'g',
         EventKind::Unstage => 'y',
-        EventKind::Chunk => 'k',
         EventKind::Demote => 'd',
         EventKind::Select => 'x',
     };
@@ -363,7 +346,7 @@ pub fn ascii_timeline(traces: &[Vec<TraceEvent>], width: usize) -> String {
         format!("{:.1} us", t_max * 1e6),
         width = width - 1
     ));
-    out.push_str("         S=send B=bsend R=recv P=put G=get F=fence |=barrier c=copy/pack u=unpack g=stage y=unstage k=chunk d=demote x=select .=flush\n");
+    out.push_str("         S=send B=bsend R=recv P=put G=get F=fence |=barrier c=copy/pack u=unpack g=stage y=unstage d=demote x=select .=flush\n");
     out
 }
 
@@ -379,8 +362,6 @@ mod tests {
             peer: None,
             bytes: 100,
             tag: None,
-            seq: None,
-            depth: None,
         }
     }
 

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use nonctg_core::datatype::Datatype;
 use nonctg_core::{set_oracle_checks, CoreError, FaultStats, Universe};
-use nonctg_simnet::{FaultPlan, Platform};
+use nonctg_simnet::{Datapath, FaultPlan, Platform};
 
 /// A quiet platform with a short deadlock timeout so any regression
 /// towards "stall until the watchdog" fails fast and visibly.
@@ -47,8 +47,8 @@ fn pattern(n: usize) -> Vec<u8> {
 
 /// Send one strided-vector message (packed size `count * 16` bytes) from
 /// rank 0 to rank 1; return (sender stats, source, received buffer).
-/// Only non-contiguous types take the pipelined (chunked) datapath, so
-/// the chunk-fault rungs must ride a derived type.
+/// Only non-contiguous types get a chunk-fault forecast, so the chunk
+/// rungs must ride a derived type.
 fn send_vector_once(
     platform: Platform,
     plan: FaultPlan,
@@ -133,37 +133,113 @@ fn plan_compile_failure_falls_back_to_uncompiled_pack() {
     }
 }
 
-/// Rung 3: a corrupted chunk mid-pipeline is detected, its buffer
-/// poisoned (quarantined, never recycled — oracle-checked), and the
-/// chunk re-packed: the receiver still sees bit-exact data.
+/// Faulty chunks the plan forecasts for the first send of rank 0 over
+/// `chunks` cuts.
+fn forecast_faults(plan: &FaultPlan, chunks: u64) -> u64 {
+    (0..chunks).filter(|&c| plan.chunk_decision(0, 0, c).is_faulty()).count() as u64
+}
+
+/// Rung 3: chunk faults forecast below the demotion threshold count as
+/// chunk retries, one per faulty cut of the notional schedule; the
+/// transfer itself still lends and the receiver sees bit-exact data.
 #[test]
 fn chunk_faults_retry_and_quarantine() {
     set_oracle_checks(true);
     // A 128 KiB packed vector over 16 KiB chunks = 8 chunk ordinals; a
     // low corruption probability keeps the faulty forecast below the
-    // demote threshold so the stream proceeds and retries per chunk.
-    let platform = short_timeout(5.0).with_pipeline(64 << 10, 16 << 10);
+    // demote threshold, so each faulty chunk counts as one retry.
     let count = (128 << 10) / 16;
-    let plan = FaultPlan::quiet(9).with_chunk_faults(0.25, 0.0);
-    let (sstats, src, got) = send_vector_once(platform, plan, count);
+    let plan =
+        FaultPlan::quiet(9).with_chunk_faults(0.25, 0.0).with_chunk_schedule(64 << 10, 16 << 10);
+    let expected = forecast_faults(&plan, 8);
+    assert!((1..nonctg_core::CHUNK_DEMOTE_THRESHOLD).contains(&expected), "seed: {expected}");
+    let (sstats, src, got) = send_vector_once(short_timeout(5.0), plan, count);
     assert_blocks_equal(&src, &got, count);
-    assert!(sstats.chunk_retries >= 1, "no chunk retried at p=0.25: {sstats:?}");
-    assert_eq!(sstats.pipeline_demotions, 0, "stream should not demote: {sstats:?}");
+    assert_eq!(sstats.chunk_retries, expected, "{sstats:?}");
+    assert_eq!(sstats.pipeline_demotions, 0, "forecast should not demote: {sstats:?}");
 }
 
-/// Rung 4: a storm of chunk faults demotes the pipelined stream to one
-/// monolithic whole-rendezvous transfer — still bit-exact, demotion
-/// counted.
+/// Rung 4: a storm of chunk faults counts one pipeline demotion and no
+/// retries — still bit-exact.
 #[test]
 fn chunk_fault_storm_demotes_to_monolithic() {
     set_oracle_checks(true);
-    let platform = short_timeout(5.0).with_pipeline(64 << 10, 16 << 10);
     let count = (128 << 10) / 16;
-    let plan = FaultPlan::quiet(4).with_chunk_faults(0.9, 0.9);
-    let (sstats, src, got) = send_vector_once(platform, plan, count);
+    let plan =
+        FaultPlan::quiet(4).with_chunk_faults(0.9, 0.9).with_chunk_schedule(64 << 10, 16 << 10);
+    assert!(forecast_faults(&plan, 8) >= nonctg_core::CHUNK_DEMOTE_THRESHOLD);
+    let (sstats, src, got) = send_vector_once(short_timeout(5.0), plan, count);
     assert_blocks_equal(&src, &got, count);
-    assert!(sstats.pipeline_demotions >= 1, "storm did not demote: {sstats:?}");
-    assert_eq!(sstats.chunk_retries, 0, "demoted send must not stream chunks");
+    assert_eq!(sstats.pipeline_demotions, 1, "storm did not demote: {sstats:?}");
+    assert_eq!(sstats.chunk_retries, 0, "a demoted send retries no chunks");
+}
+
+/// The forecast walks instance-aligned cuts, not `bytes / chunk`: with
+/// 1000-byte blocks and a 1500-byte chunk target every block is its own
+/// cut (66 cuts of a 66000-byte message, not 44), and the retries
+/// counted are the faults drawn over exactly those cuts.
+#[test]
+fn chunk_forecast_walks_instance_aligned_cuts() {
+    let (count, block) = (66usize, 1000usize);
+    let chunk_faults = |seed| {
+        FaultPlan::quiet(seed).with_chunk_faults(0.03, 0.0).with_chunk_schedule(64 << 10, 1500)
+    };
+    // A seed whose faults over the 66 aligned cuts stay below the
+    // demotion threshold and differ from those over 44 even cuts.
+    let seed = (0..1000u64)
+        .find(|&s| {
+            let aligned = forecast_faults(&chunk_faults(s), count as u64);
+            (1..nonctg_core::CHUNK_DEMOTE_THRESHOLD).contains(&aligned)
+                && aligned != forecast_faults(&chunk_faults(s), 44)
+        })
+        .expect("some seed separates the two walks");
+    let plan = chunk_faults(seed);
+    let expected = forecast_faults(&plan, count as u64);
+    // Billed as a pack: the selector would bill these long regions as
+    // iovec, which forecasts no retries.
+    let p = short_timeout(5.0).with_datapath(Datapath::Pack).with_fault_plan(plan);
+    let results = Universe::run_supervised(p, 2, move |comm| {
+        let vtype = Datatype::vector(count, block, 2 * block as i64, &Datatype::byte())
+            .unwrap()
+            .commit();
+        let mut buf = pattern((2 * count - 1) * block);
+        if comm.rank() == 0 {
+            comm.send(&buf, 0, &vtype, 1, 1, 0)?;
+        } else {
+            comm.recv(&mut buf, 0, &vtype, 1, Some(0), Some(0))?;
+        }
+        Ok(comm.fault_stats())
+    });
+    let sstats = results[0].as_ref().unwrap();
+    assert_eq!((sstats.chunk_retries, sstats.pipeline_demotions), (expected, 0), "{sstats:?}");
+}
+
+/// The chunk rungs apply only where a chunk stream once ran: blocking
+/// sends at or above the schedule's threshold. An `isend` and a smaller
+/// send count nothing, however many chunk faults the plan would draw.
+#[test]
+fn chunk_forecast_skips_isend_and_small_sends() {
+    let plan = FaultPlan::quiet(4).with_chunk_faults(1.0, 0.0).with_chunk_schedule(64 << 10, 16 << 10);
+    let p = short_timeout(5.0).with_fault_plan(plan);
+    let (blocklen, stride) = (16usize, 32i64);
+    let results = Universe::run_supervised(p, 2, move |comm| {
+        for (count, blocking) in [((128 << 10) / 16, false), ((32 << 10) / 16, true)] {
+            let vtype =
+                Datatype::vector(count, blocklen, stride, &Datatype::byte()).unwrap().commit();
+            let len = (count - 1) * stride as usize + blocklen;
+            let mut buf = pattern(len);
+            if comm.rank() == 0 && blocking {
+                comm.ssend(&buf, 0, &vtype, 1, 1, 0)?;
+            } else if comm.rank() == 0 {
+                comm.isend(&buf, 0, &vtype, 1, 1, 0)?.wait(comm)?;
+            } else {
+                comm.recv(&mut buf, 0, &vtype, 1, Some(0), Some(0))?;
+            }
+        }
+        Ok(comm.fault_stats())
+    });
+    let sstats = results[0].as_ref().unwrap();
+    assert_eq!((sstats.chunk_retries, sstats.pipeline_demotions), (0, 0), "{sstats:?}");
 }
 
 /// Rung 5: a parallel-pack worker failure pins the pack to the serial
@@ -175,9 +251,9 @@ fn pack_worker_failure_pins_serial_kernel() {
     let src = pattern(src_len);
     let vtype = Datatype::vector(count, blocklen, stride, &Datatype::byte()).unwrap().commit();
     let plan = FaultPlan::quiet(8).with_pack_worker_failures(1.0);
-    // Disable streaming so the 16 MiB payload stays on the monolithic
-    // path whose pack the fault pins serial.
-    let p = short_timeout(5.0).without_pipeline().with_fault_plan(plan);
+    // The fault stages the 16 MiB payload (no lending) through the
+    // serial pack.
+    let p = short_timeout(5.0).with_fault_plan(plan);
     let src_for_run = src.clone();
     let vt = vtype.clone();
     let results = Universe::run_supervised(p, 2, move |comm| {
@@ -369,8 +445,7 @@ fn link_degradation_charges_and_counts() {
 fn ladder_is_deterministic_under_chaos() {
     let run = || {
         let platform = short_timeout(5.0)
-            .with_pipeline(64 << 10, 16 << 10)
-            .with_fault_plan(FaultPlan::chaos(77));
+            .with_fault_plan(FaultPlan::chaos(77).with_chunk_schedule(64 << 10, 16 << 10));
         Universe::run_supervised(platform, 2, |comm| {
             for step in 0..12 {
                 let payload = pattern(96 << 10);

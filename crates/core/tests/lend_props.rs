@@ -18,13 +18,10 @@ use nonctg_core::{CoreError, RecvStatus, Universe};
 use nonctg_simnet::{Datapath, Platform};
 use proptest::prelude::*;
 
-/// A quiet platform on which every non-contiguous rendezvous packs (no
-/// iovec) and none streams, so each blocking send above the eager limit
-/// takes the lent path.
+/// A quiet platform on which every non-contiguous rendezvous is billed
+/// as a pack; each blocking send above the eager limit lends.
 fn lending() -> Platform {
-    let mut p = Platform::skx_impi()
-        .with_datapath(Datapath::Pack)
-        .without_pipeline();
+    let mut p = Platform::skx_impi().with_datapath(Datapath::Pack);
     p.jitter_sigma = 0.0;
     p
 }

@@ -3,12 +3,13 @@
 //! virtual results, with every fabric invariant check enabled.
 //!
 //! Wall-clock staggering perturbs *only* the OS schedule — which rank's
-//! thread gets to post, match, pack, and pump first — so any divergence
+//! thread gets to post, match, lend, and copy first — so any divergence
 //! in payload bytes or virtual clocks is a real ordering bug in the
-//! fabric (lost chunk, misattributed charge, aliased pool buffer), not
-//! jitter. Each permutation also re-runs the chunk-ring and payload-pool
-//! paths under the `NONCTG_ORACLE` assertions, so an interleaving that
-//! corrupts state panics instead of silently producing a lucky result.
+//! fabric (a lease settled before its copy, misattributed charge, aliased
+//! pool buffer), not jitter. Each permutation also re-runs the lent and
+//! payload-pool paths under the `NONCTG_ORACLE` assertions, so an
+//! interleaving that corrupts state panics instead of silently producing
+//! a lucky result.
 
 use std::time::Duration;
 
@@ -21,13 +22,9 @@ use nonctg_core::{set_oracle_checks, Comm, Universe};
 static TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const NRANKS: usize = 4;
-/// Small pipeline threshold so the streamed (chunked) datapath runs even
-/// for test-sized payloads, with several chunks per message.
-const PIPE_THRESHOLD: u64 = 4096;
-const PIPE_CHUNK: u64 = 1024;
 
 fn platform() -> Platform {
-    let mut p = Platform::skx_impi().with_pipeline(PIPE_THRESHOLD, PIPE_CHUNK);
+    let mut p = Platform::skx_impi();
     p.jitter_sigma = 0.0;
     p.with_deadlock_timeout(10.0)
 }
@@ -54,9 +51,9 @@ fn stagger_ms(perm: u64, rank: usize) -> u64 {
     (x ^ (x >> 31)) % 40
 }
 
-/// The program under test: a ring of streamed derived-type rendezvous
-/// sends (several chunks each), then a burst of eager traffic, then an
-/// all-to-one collect. Returns this rank's virtual fingerprint: the
+/// The program under test: a ring of lent derived-type synchronous
+/// sends, both layouts strided (so the receiver stages through the
+/// pool), then a burst of eager traffic, then a barrier. Returns this rank's virtual fingerprint: the
 /// FNV hash of everything it received and the exact bits of its final
 /// virtual clock.
 fn workload(comm: &mut Comm, perm: u64) -> (u64, u64) {
@@ -65,7 +62,7 @@ fn workload(comm: &mut Comm, perm: u64) -> (u64, u64) {
     std::thread::sleep(Duration::from_millis(stagger_ms(perm, rank)));
 
     // Strided type: 96 blocks of 2 f64s every 3 → 1536 payload bytes per
-    // instance; 6 instances = 9216 packed bytes > threshold, 9 chunks.
+    // instance; 6 instances = 9216 packed bytes.
     let t = Datatype::vector(96, 2, 3, &Datatype::f64()).unwrap().commit();
     let count = 6;
     let elems = (t.extent() as usize / 8) * count + 8;
@@ -107,7 +104,7 @@ fn workload(comm: &mut Comm, perm: u64) -> (u64, u64) {
 
 /// Across permuted schedules, every rank's received bytes and final
 /// virtual clock are bit-identical — and no interleaving trips the
-/// chunk-ring, pool-aliasing, conservation, or clock invariants.
+/// pool-aliasing, conservation, or clock invariants.
 #[test]
 fn permuted_schedules_are_virtually_identical() {
     let _serial = TOGGLE.lock().unwrap();
@@ -124,7 +121,7 @@ fn permuted_schedules_are_virtually_identical() {
 }
 
 /// The invariant layer itself: a violation must abort the run rather
-/// than let a corrupted stream complete. Exercised by the public knob
+/// than let a corrupted transfer complete. Exercised by the public knob
 /// only (checks off → the same workload is identical too, as a control).
 #[test]
 fn checks_off_matches_checks_on() {

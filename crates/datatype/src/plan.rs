@@ -556,7 +556,7 @@ impl PackPlan {
     /// Clamp a packed-byte position to the message and round it down to
     /// the nearest block boundary — the only positions the sub-range API
     /// ([`Self::pack_range_into`] / [`Self::unpack_range_from`]) accepts.
-    /// Chunked senders pick their chunk ends with this.
+    /// The chunk-fault forecast cuts its notional chunks with this.
     pub fn align_chunk(&self, pos: u64) -> u64 {
         let total = self.packed_len() as u64;
         if pos >= total {
@@ -588,7 +588,7 @@ impl PackPlan {
     }
 
     /// Gather packed bytes `[lo, hi)` of the message into `dst` — one
-    /// chunk of a streamed send. Bounds must be [`Self::align_chunk`]
+    /// block of a blocked copy. Bounds must be [`Self::align_chunk`]
     /// positions. Parallelizes above [`parallel_threshold`]; returns the
     /// bytes written (`hi - lo`).
     pub fn pack_range_into(
@@ -650,7 +650,7 @@ impl PackPlan {
     }
 
     /// Scatter packed bytes `[lo, hi)` (supplied in `packed`) into the
-    /// user buffer in place — one chunk of a streamed receive. Bounds must
+    /// user buffer in place — one block of a blocked copy. Bounds must
     /// be [`Self::align_chunk`] positions. Sequential (exclusive `&mut`
     /// access makes it safe for any plan, `par_safe` or not); returns the
     /// bytes consumed.

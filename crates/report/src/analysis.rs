@@ -1,5 +1,5 @@
-//! Trace analysis: virtual-time critical path, pipeline bubble
-//! accounting, and gantt rendering.
+//! Trace analysis: virtual-time critical path and gantt rendering with
+//! per-track bubble shares.
 //!
 //! Consumes the same [`Span`]s the trace exporter uses, so the whole
 //! analysis is runtime-agnostic and unit-testable on synthetic traces.
@@ -17,16 +17,6 @@
 //! telescope: [`CriticalPath::edge_sum`] verifies the tiling and then
 //! returns `t_end - t_begin` exactly, making "edge sum equals elapsed"
 //! an honest bitwise identity rather than a float-tolerance claim.
-//!
-//! ## Pipeline bubbles
-//!
-//! Chunked-rendezvous overlap cannot be measured from chunk timestamps:
-//! the sender charges staging once before the pump loop and the
-//! receiver's drain is wall-clock-only, so every chunk marker within a
-//! transfer carries the same virtual timestamp. Instead
-//! [`pipeline_report`] uses the ring-depth occupancy sampled into each
-//! chunk marker: a drain at depth 1 means the receiver caught the
-//! sender (no overlap); depth = capacity means a fully primed ring.
 
 use crate::traceviz::Span;
 use std::fmt::Write as _;
@@ -37,7 +27,7 @@ pub fn phase_of_name(name: &str) -> &'static str {
     match name {
         "pack" | "stage" => "pack",
         "unpack" | "unstage" => "unpack",
-        "send" | "bsend" | "isend" | "recv" | "put" | "get" | "chunk" => "transfer",
+        "send" | "bsend" | "isend" | "recv" | "put" | "get" => "transfer",
         "fence" | "barrier" | "flush" => "sync",
         _ => "other",
     }
@@ -60,8 +50,6 @@ pub struct CriticalEdge {
     pub t_end: f64,
     /// Payload bytes of the underlying span (0 for idle edges).
     pub bytes: usize,
-    /// Chunk sequence number, when the underlying span has one.
-    pub seq: Option<u32>,
     /// True for gap edges no span covers.
     pub idle: bool,
 }
@@ -181,9 +169,6 @@ impl CriticalPath {
                 e.bytes,
                 e.idle
             );
-            if let Some(q) = e.seq {
-                let _ = write!(out, ", \"seq\": {q}");
-            }
             out.push('}');
             out.push_str(if i + 1 < self.edges.len() { ",\n" } else { "\n" });
         }
@@ -233,7 +218,6 @@ pub fn critical_path(spans: &[Span]) -> Option<CriticalPath> {
                     t_start: s.t_start,
                     t_end: t,
                     bytes: s.bytes,
-                    seq: s.seq,
                     idle: false,
                 });
                 t = s.t_start;
@@ -256,7 +240,6 @@ pub fn critical_path(spans: &[Span]) -> Option<CriticalPath> {
                     t_start: lo,
                     t_end: t,
                     bytes: 0,
-                    seq: None,
                     idle: true,
                 });
                 t = lo;
@@ -265,200 +248,6 @@ pub fn critical_path(spans: &[Span]) -> Option<CriticalPath> {
     }
     edges.reverse();
     Some(CriticalPath { edges, t_begin, t_end })
-}
-
-/// Pipeline overlap and bubble accounting for one chunked transfer's
-/// receiver, derived from ring-depth occupancy plus the critical path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineReport {
-    /// Receiver track (rank) the report describes.
-    pub receiver: usize,
-    /// Number of chunk drains observed on the receiver.
-    pub chunks: usize,
-    /// Chunk-ring capacity the occupancy is normalized against.
-    pub ring_capacity: u32,
-    /// Mean drain depth (1 = receiver always caught the sender).
-    pub mean_depth: f64,
-    /// `(mean_depth - 1) / (ring_capacity - 1)`: 0 = no overlap, 1 =
-    /// ring fully primed at every drain. The final drain of a transfer
-    /// always lands at depth 1, so this is structurally `< 1`.
-    pub overlap_efficiency: f64,
-    /// Fraction of drains at depth >= 2 (sender was ahead).
-    pub primed_fraction: f64,
-    /// Start of the receiver's traced window.
-    pub receiver_t_start: f64,
-    /// End of the receiver's traced window.
-    pub receiver_t_end: f64,
-    /// Width of the receiver's traced window.
-    pub receiver_elapsed_s: f64,
-    /// Critical-path busy (non-idle) time clipped to the receiver
-    /// window, across all tracks.
-    pub busy_on_path_s: f64,
-    /// The receiver's own share of the critical path within its
-    /// window: non-idle clipped edges on the receiver track.
-    pub critical_on_receiver_s: f64,
-    /// Bubble time: `receiver_elapsed_s - critical_on_receiver_s` —
-    /// every moment of the window where the receiver was *not* the
-    /// operation driving progress (waiting on the sender, on sync, or
-    /// on nothing at all). Exact when [`PipelineReport::tiling_exact`]
-    /// holds — the clipped edges tile the window with bit-identical
-    /// boundaries, so receiver-share + bubble partitions the
-    /// receiver's elapsed time with no float slop.
-    pub bubble_s: f64,
-    /// The part of the bubble where the critical path ran pack or
-    /// transfer work on *another* track — time the receiver was
-    /// constrained by the sender side of the chunk ring (ring stall).
-    /// Sync work (cache flushes, barriers) is a bubble but not a
-    /// stall.
-    pub ring_stall_s: f64,
-    /// True when the critical-path edges clipped to the receiver
-    /// window still form a bit-exact tiling of it.
-    pub tiling_exact: bool,
-    /// Bytes re-copied through the receiver's carry buffer (chunk
-    /// boundaries that split a contiguous run).
-    pub carry_bytes: usize,
-    /// Carry dead time priced at the roofline copy bandwidth
-    /// (`carry_bytes / copy_bw`), when a bandwidth was supplied.
-    pub carry_dead_s: Option<f64>,
-}
-
-impl PipelineReport {
-    /// Serialize as a JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema_version\": 1,\n");
-        let _ = writeln!(out, "  \"receiver\": {},", self.receiver);
-        let _ = writeln!(out, "  \"chunks\": {},", self.chunks);
-        let _ = writeln!(out, "  \"ring_capacity\": {},", self.ring_capacity);
-        let _ = writeln!(out, "  \"mean_depth\": {},", jnum(self.mean_depth));
-        let _ = writeln!(out, "  \"overlap_efficiency\": {},", jnum(self.overlap_efficiency));
-        let _ = writeln!(out, "  \"primed_fraction\": {},", jnum(self.primed_fraction));
-        let _ = writeln!(out, "  \"receiver_t_start\": {},", jnum(self.receiver_t_start));
-        let _ = writeln!(out, "  \"receiver_t_end\": {},", jnum(self.receiver_t_end));
-        let _ = writeln!(out, "  \"receiver_elapsed_s\": {},", jnum(self.receiver_elapsed_s));
-        let _ = writeln!(out, "  \"busy_on_path_s\": {},", jnum(self.busy_on_path_s));
-        let _ = writeln!(
-            out,
-            "  \"critical_on_receiver_s\": {},",
-            jnum(self.critical_on_receiver_s)
-        );
-        let _ = writeln!(out, "  \"bubble_s\": {},", jnum(self.bubble_s));
-        let _ = writeln!(out, "  \"ring_stall_s\": {},", jnum(self.ring_stall_s));
-        let _ = writeln!(out, "  \"tiling_exact\": {},", self.tiling_exact);
-        let _ = writeln!(out, "  \"carry_bytes\": {},", self.carry_bytes);
-        let _ = write!(
-            out,
-            "  \"carry_dead_s\": {}\n}}",
-            self.carry_dead_s.map(jnum).unwrap_or_else(|| "null".into())
-        );
-        out
-    }
-}
-
-/// Build a [`PipelineReport`] for `receiver`'s chunk drains.
-///
-/// Chunk drains are the zero-width `chunk` markers on the receiver
-/// track; their `depth` field is the ring occupancy sampled at the
-/// drain. Carry traffic is the zero-width `copy` markers the receiver
-/// emits when a chunk boundary splits a contiguous run. Returns `None`
-/// when the receiver drained no chunks (unchunked transfer) or
-/// recorded no window.
-pub fn pipeline_report(
-    spans: &[Span],
-    path: &CriticalPath,
-    receiver: usize,
-    ring_capacity: u32,
-    copy_bw: Option<f64>,
-) -> Option<PipelineReport> {
-    let drains: Vec<&Span> = spans
-        .iter()
-        .filter(|s| s.track == receiver && s.name == "chunk" && s.depth.is_some())
-        .collect();
-    if drains.is_empty() {
-        return None;
-    }
-
-    let r0 = spans
-        .iter()
-        .filter(|s| s.track == receiver)
-        .map(|s| s.t_start)
-        .fold(f64::INFINITY, f64::min);
-    let r1 = spans
-        .iter()
-        .filter(|s| s.track == receiver)
-        .map(|s| s.t_end)
-        .fold(f64::NEG_INFINITY, f64::max);
-    if r0 >= r1 {
-        return None;
-    }
-
-    let depths: Vec<f64> = drains.iter().map(|s| f64::from(s.depth.unwrap())).collect();
-    let mean_depth = depths.iter().sum::<f64>() / depths.len() as f64;
-    let overlap_efficiency = if ring_capacity > 1 {
-        (mean_depth - 1.0) / f64::from(ring_capacity - 1)
-    } else {
-        0.0
-    };
-    let primed = depths.iter().filter(|&&d| d >= 2.0).count();
-
-    // Clip the critical path to the receiver window. The global edges
-    // tile [t_begin, t_end] with bit-identical boundaries, so the
-    // clipped pieces tile [r0, r1] the same way; verify anyway.
-    let mut busy = 0.0;
-    let mut on_receiver = 0.0;
-    let mut stall = 0.0;
-    let mut cursor = r0;
-    let mut tiling_exact = true;
-    for e in &path.edges {
-        let a = e.t_start.max(r0);
-        let b = e.t_end.min(r1);
-        if a >= b {
-            continue;
-        }
-        if a.to_bits() != cursor.to_bits() {
-            tiling_exact = false;
-        }
-        cursor = b;
-        if !e.idle {
-            busy += b - a;
-            if e.track == receiver {
-                on_receiver += b - a;
-            } else if matches!(e.phase, "pack" | "transfer") {
-                stall += b - a;
-            }
-        }
-    }
-    if cursor.to_bits() != r1.to_bits() {
-        tiling_exact = false;
-    }
-
-    let carry_bytes: usize = spans
-        .iter()
-        .filter(|s| {
-            s.track == receiver && s.name == "copy" && s.seq.is_some() && s.t_end == s.t_start
-        })
-        .map(|s| s.bytes)
-        .sum();
-    let carry_dead_s = copy_bw.filter(|&bw| bw > 0.0).map(|bw| carry_bytes as f64 / bw);
-
-    Some(PipelineReport {
-        receiver,
-        chunks: drains.len(),
-        ring_capacity,
-        mean_depth,
-        overlap_efficiency,
-        primed_fraction: primed as f64 / depths.len() as f64,
-        receiver_t_start: r0,
-        receiver_t_end: r1,
-        receiver_elapsed_s: r1 - r0,
-        busy_on_path_s: busy,
-        critical_on_receiver_s: on_receiver,
-        bubble_s: (r1 - r0) - on_receiver,
-        ring_stall_s: stall,
-        tiling_exact,
-        carry_bytes,
-        carry_dead_s,
-    })
 }
 
 /// Merged busy time per track (union of positive-width spans).
@@ -656,22 +445,6 @@ mod tests {
             bytes: 100,
             peer: None,
             tag: None,
-            seq: None,
-            depth: None,
-        }
-    }
-
-    fn drain(track: usize, t: f64, seq: u32, depth: u32) -> Span {
-        Span {
-            track,
-            name: "chunk".into(),
-            t_start: t,
-            t_end: t,
-            bytes: 4096,
-            peer: None,
-            tag: Some(1),
-            seq: Some(seq),
-            depth: Some(depth),
         }
     }
 
@@ -723,57 +496,7 @@ mod tests {
     #[test]
     fn no_positive_width_means_no_path() {
         assert!(critical_path(&[]).is_none());
-        assert!(critical_path(&[drain(0, 1.0, 0, 1)]).is_none());
-    }
-
-    #[test]
-    fn pipeline_report_from_ring_depths() {
-        let mut spans = vec![
-            span(0, "stage", 0.0, 4.0),
-            span(1, "recv", 0.0, 1.0),
-            span(1, "unstage", 4.0, 6.0),
-        ];
-        // Drains at depths 2, 2, 1 on a capacity-2 ring.
-        spans.push(drain(1, 4.0, 0, 2));
-        spans.push(drain(1, 4.0, 1, 2));
-        spans.push(drain(1, 4.0, 2, 1));
-        // One carry copy of 512 bytes.
-        let mut carry = span(1, "copy", 4.0, 4.0);
-        carry.seq = Some(1);
-        carry.bytes = 512;
-        spans.push(carry);
-
-        let p = critical_path(&spans).unwrap();
-        let r = pipeline_report(&spans, &p, 1, 2, Some(1024.0)).unwrap();
-        assert_eq!(r.chunks, 3);
-        assert!((r.mean_depth - 5.0 / 3.0).abs() < 1e-12);
-        assert!((r.overlap_efficiency - 2.0 / 3.0).abs() < 1e-12);
-        assert!((r.primed_fraction - 2.0 / 3.0).abs() < 1e-12);
-        assert!(r.overlap_efficiency > 0.0 && r.overlap_efficiency < 1.0);
-        assert!(r.tiling_exact);
-        // Receiver window is [0, 6]; the receiver's critical share +
-        // bubbles partitions it.
-        assert_eq!(r.receiver_elapsed_s, 6.0);
-        assert_eq!(
-            (r.critical_on_receiver_s + r.bubble_s).to_bits(),
-            6.0f64.to_bits()
-        );
-        // Stage on track 0 owns [0, 4] of the path (the backward sweep
-        // jumps from t=4 to stage's start, never cutting at recv's end)
-        // => ring stall 4, receiver share = unstage's [4, 6] = 2,
-        // bubble = 6 - 2 = 4.
-        assert!((r.ring_stall_s - 4.0).abs() < 1e-12);
-        assert!((r.critical_on_receiver_s - 2.0).abs() < 1e-12);
-        assert!((r.bubble_s - 4.0).abs() < 1e-12);
-        assert_eq!(r.carry_bytes, 512);
-        assert!((r.carry_dead_s.unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pipeline_report_none_without_drains() {
-        let spans = vec![span(0, "send", 0.0, 1.0), span(1, "recv", 0.0, 1.0)];
-        let p = critical_path(&spans).unwrap();
-        assert!(pipeline_report(&spans, &p, 1, 2, None).is_none());
+        assert!(critical_path(&[span(0, "select", 1.0, 1.0)]).is_none());
     }
 
     #[test]
@@ -782,7 +505,7 @@ mod tests {
             span(0, "pack", 0.0, 1.0),
             span(0, "send", 1.0, 3.0),
             span(1, "recv", 3.0, 5.0),
-            drain(1, 3.0, 0, 2),
+            span(1, "select", 3.0, 3.0),
         ];
         let p = critical_path(&spans).unwrap();
         let j = p.to_json();

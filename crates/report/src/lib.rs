@@ -19,8 +19,7 @@ mod table;
 pub mod traceviz;
 
 pub use analysis::{
-    critical_path, gantt_ascii, gantt_svg, phase_of_name, pipeline_report, CriticalEdge,
-    CriticalPath, PipelineReport,
+    critical_path, gantt_ascii, gantt_svg, phase_of_name, CriticalEdge, CriticalPath,
 };
 pub use series::{PlotSpec, Scale, Series, GLYPHS, PALETTE};
 pub use traceviz::{ascii_spans, chrome_trace_json, Span};

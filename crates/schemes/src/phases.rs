@@ -65,8 +65,7 @@ impl Phase {
             | EventKind::Isend
             | EventKind::Recv
             | EventKind::Put
-            | EventKind::Get
-            | EventKind::Chunk => Phase::Transfer,
+            | EventKind::Get => Phase::Transfer,
             // Zero-width markers: demotion and selector decisions cost
             // no virtual time, so their phases never accumulate any.
             EventKind::Demote | EventKind::Select => Phase::Sync,
@@ -332,8 +331,6 @@ mod tests {
             peer: Some(1),
             bytes: 8,
             tag: None,
-            seq: None,
-            depth: None,
         }
     }
 

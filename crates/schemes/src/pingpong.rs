@@ -243,16 +243,6 @@ impl ObservedRun {
     pub fn trace_elapsed(&self) -> f64 {
         self.trace_span().map(|(lo, hi)| hi - lo).unwrap_or(0.0)
     }
-
-    /// `(t_start, t_end)` of one rank's traced activity, or `None` when
-    /// that rank recorded nothing — e.g. the receiver's elapsed window
-    /// for pipeline bubble accounting.
-    pub fn rank_span(&self, rank: usize) -> Option<(f64, f64)> {
-        let evs = self.events.get(rank)?;
-        let lo = evs.iter().map(|e| e.t_start).fold(f64::INFINITY, f64::min);
-        let hi = evs.iter().map(|e| e.t_end).fold(f64::NEG_INFINITY, f64::max);
-        (lo < hi).then_some((lo, hi))
-    }
 }
 
 /// [`try_run_scheme`] with tracing and/or metrics enabled on every rank.

@@ -165,11 +165,12 @@ pub struct SweepFaults {
     /// Ranks that came back in error from failed measurement attempts
     /// (each poisons its universe's fabric; see `nonctg_core::fabric`).
     pub poisoned_peers: u64,
-    /// Graceful demotions down the degradation ladder (pipelined →
-    /// monolithic, pooled → owned buffers, compiled → uncompiled plan,
-    /// parallel → serial pack), summed over every rank and attempt.
+    /// Graceful demotions down the degradation ladder (pooled → owned
+    /// buffers, compiled → uncompiled plan, parallel → serial pack,
+    /// iovec → pack, forecast chunk-fault storms), summed over every rank
+    /// and attempt.
     pub demotions: u64,
-    /// Chunks re-packed after a mid-pipeline corruption or drop.
+    /// Forecast chunk faults counted as re-packed chunks.
     pub chunk_retries: u64,
     /// Operations charged a link-degradation latency surcharge.
     pub link_degradations: u64,

@@ -3,10 +3,10 @@
 //!
 //! * **Determinism** — the same chaos seed yields bit-equal virtual
 //!   times and fault counters, or the same typed error. Never a hang.
-//! * **Graceful degradation** — a transfer demoted to the monolithic
-//!   whole-rendezvous path is never slower in virtual time than an
-//!   equivalent fresh non-pipelined send (the demoted path *is* that
-//!   path, charged identically).
+//! * **Graceful degradation** — a transfer whose chunk-fault forecast
+//!   demotes it is never slower in virtual time than an equivalent fresh
+//!   fault-free send (the demoted transfer *is* that send, charged
+//!   identically).
 
 use std::time::{Duration, Instant};
 
@@ -17,11 +17,10 @@ use nonctg_simnet::{FaultPlan, Platform};
 fn chaos_platform(seed: u64) -> Platform {
     let mut p = Platform::skx_impi();
     p.jitter_sigma = 0.0;
-    // Low pipeline threshold so the 128 KiB workload streams and the
-    // chunk-level faults in the chaos mix actually land.
+    // Low chunk-schedule threshold so the chunk-fault forecast covers
+    // the 128 KiB workload and the chunk faults in the chaos mix land.
     p.with_deadlock_timeout(10.0)
-        .with_pipeline(64 << 10, 16 << 10)
-        .with_fault_plan(FaultPlan::chaos(seed))
+        .with_fault_plan(FaultPlan::chaos(seed).with_chunk_schedule(64 << 10, 16 << 10))
 }
 
 fn small_cfg() -> PingPongConfig {
@@ -80,10 +79,10 @@ fn chaos_matrix_is_deterministic_and_degrades_gracefully() {
     );
 }
 
-/// Satellite guideline: a transfer the ladder demotes to the monolithic
-/// whole-rendezvous path must never be slower in virtual time than the
-/// same transfer on a fresh platform with pipelining disabled — the
-/// demoted path is exactly that path, and fault charges are exact.
+/// Satellite guideline: a transfer the ladder demotes must never be
+/// slower in virtual time than the same transfer on a fresh fault-free
+/// platform — the demoted transfer is exactly that send, and fault
+/// charges are exact.
 #[test]
 fn demoted_transfer_never_slower_than_fresh_monolithic() {
     let w = Workload::every_other(16 << 10);
@@ -91,16 +90,15 @@ fn demoted_transfer_never_slower_than_fresh_monolithic() {
 
     let mut demoted_p = Platform::skx_impi();
     demoted_p.jitter_sigma = 0.0;
-    // Every chunk ordinal faults: the forecast demotes the stream before
-    // it starts (no retries, no extra virtual charges).
-    let demoted_p = demoted_p
-        .with_deadlock_timeout(10.0)
-        .with_pipeline(64 << 10, 16 << 10)
-        .with_fault_plan(FaultPlan::quiet(31).with_chunk_faults(1.0, 1.0));
+    // Every chunk ordinal faults: the forecast demotes the transfer (no
+    // retries, no extra virtual charges).
+    let demoted_p = demoted_p.with_deadlock_timeout(10.0).with_fault_plan(
+        FaultPlan::quiet(31).with_chunk_faults(1.0, 1.0).with_chunk_schedule(64 << 10, 16 << 10),
+    );
 
     let mut fresh_p = Platform::skx_impi();
     fresh_p.jitter_sigma = 0.0;
-    let fresh_p = fresh_p.with_deadlock_timeout(10.0).without_pipeline();
+    let fresh_p = fresh_p.with_deadlock_timeout(10.0);
 
     let demoted = try_run_scheme(&demoted_p, Scheme::VectorType, &w, &cfg).unwrap();
     let fresh = try_run_scheme(&fresh_p, Scheme::VectorType, &w, &cfg).unwrap();
@@ -110,7 +108,7 @@ fn demoted_transfer_never_slower_than_fresh_monolithic() {
     for (i, (d, f)) in demoted.times.iter().zip(&fresh.times).enumerate() {
         assert!(
             d <= f,
-            "demoted rep {i} slower than fresh non-pipelined send: {d} > {f}"
+            "demoted rep {i} slower than fresh fault-free send: {d} > {f}"
         );
     }
 }

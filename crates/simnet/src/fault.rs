@@ -70,13 +70,34 @@ pub struct LinkDegradation {
     pub factor: f64,
 }
 
-/// The faults decided for one pipeline chunk.
+/// The faults decided for one notional chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChunkFault {
     /// Corrupt one byte of the chunk in flight.
     pub corrupt: bool,
     /// Drop the chunk entirely (it must be re-packed and re-sent).
     pub drop: bool,
+}
+
+/// The notional chunk schedule of the chunk-fault forecast: a blocking
+/// non-contiguous rendezvous of at least `threshold_bytes` is cut into
+/// instance-aligned chunks of about `chunk_bytes`, and each chunk draws
+/// its own [`ChunkFault`]. No payload moves in chunks; the schedule only
+/// keys the chunk rungs of the degradation ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkSchedule {
+    /// Smallest packed payload, bytes, the forecast applies to.
+    pub threshold_bytes: u64,
+    /// Target chunk size, bytes (each cut is aligned down to a pack-plan
+    /// block boundary).
+    pub chunk_bytes: u64,
+}
+
+impl Default for ChunkSchedule {
+    /// 4 MiB threshold, 2 MiB chunks.
+    fn default() -> Self {
+        ChunkSchedule { threshold_bytes: 4 << 20, chunk_bytes: 2 << 20 }
+    }
 }
 
 impl ChunkFault {
@@ -129,10 +150,12 @@ pub struct FaultPlan {
     pub crash: Option<CrashPoint>,
     /// Persistent send failure band, if any.
     pub persistent: Option<PersistentFault>,
-    /// Probability that a pipeline chunk is corrupted in flight (v2).
+    /// Probability that a notional chunk is corrupted in flight (v2).
     pub chunk_corrupt_prob: f64,
-    /// Probability that a pipeline chunk is dropped in flight (v2).
+    /// Probability that a notional chunk is dropped in flight (v2).
     pub chunk_drop_prob: f64,
+    /// The chunk cuts those two probabilities apply to.
+    pub chunk_schedule: ChunkSchedule,
     /// Probability that the payload pool is exhausted when a send asks
     /// for a pooled buffer, forcing an owned-buffer fallback (v2).
     pub pool_exhaust_prob: f64,
@@ -163,6 +186,7 @@ impl FaultPlan {
             persistent: None,
             chunk_corrupt_prob: 0.0,
             chunk_drop_prob: 0.0,
+            chunk_schedule: ChunkSchedule::default(),
             pool_exhaust_prob: 0.0,
             plan_fail_prob: 0.0,
             pack_worker_fail_prob: 0.0,
@@ -173,7 +197,7 @@ impl FaultPlan {
 
     /// The standard chaos mix driven by one seed: occasional transient
     /// send failures, delivery delays, and the recoverable v2 faults —
-    /// chunk corruption/drops mid-pipeline, pool exhaustion, plan-compile
+    /// forecast chunk corruption/drops, pool exhaustion, plan-compile
     /// failures, and parallel-pack worker failures (all of which the
     /// runtime absorbs by demoting to a slower-but-correct path).
     /// Payload corruption and crashes stay off by default because they
@@ -191,6 +215,7 @@ impl FaultPlan {
             persistent: None,
             chunk_corrupt_prob: 0.02,
             chunk_drop_prob: 0.02,
+            chunk_schedule: ChunkSchedule::default(),
             pool_exhaust_prob: 0.05,
             plan_fail_prob: 0.02,
             pack_worker_fail_prob: 0.02,
@@ -240,6 +265,13 @@ impl FaultPlan {
     pub fn with_chunk_faults(mut self, corrupt_prob: f64, drop_prob: f64) -> FaultPlan {
         self.chunk_corrupt_prob = corrupt_prob;
         self.chunk_drop_prob = drop_prob;
+        self
+    }
+
+    /// Builder: forecast chunk faults from `threshold_bytes` up, over
+    /// chunks of about `chunk_bytes` (at least one byte).
+    pub fn with_chunk_schedule(mut self, threshold_bytes: u64, chunk_bytes: u64) -> FaultPlan {
+        self.chunk_schedule = ChunkSchedule { threshold_bytes, chunk_bytes: chunk_bytes.max(1) };
         self
     }
 
@@ -326,10 +358,8 @@ impl FaultPlan {
         matches!(self.crash, Some(c) if c.rank == rank && op >= c.after_ops)
     }
 
-    /// Decide the faults of pipeline chunk number `chunk` of send `op` on
-    /// world rank `rank`. Pure: keyed on `(seed, rank, op, chunk)`, so
-    /// the forecast taken at the stream gate and the injection taken in
-    /// the pump loop agree byte for byte.
+    /// Decide the faults of notional chunk number `chunk` of send `op` on
+    /// world rank `rank`. Pure: keyed on `(seed, rank, op, chunk)`.
     pub fn chunk_decision(&self, rank: usize, op: u64, chunk: u64) -> ChunkFault {
         let mut f = ChunkFault::default();
         if self.chunk_corrupt_prob > 0.0
@@ -343,14 +373,6 @@ impl FaultPlan {
             f.drop = true;
         }
         f
-    }
-
-    /// Byte index to flip inside a corrupted `len`-byte chunk.
-    pub fn chunk_corrupt_byte(&self, rank: usize, op: u64, chunk: u64, len: usize) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        (mix(&[self.seed, rank as u64, op, chunk, 9]) as usize) % len
     }
 
     /// Whether the payload pool is exhausted when send `op` on `rank`
@@ -507,15 +529,6 @@ mod tests {
         let dr = drops as f64 / n as f64;
         assert!((cr - 0.25).abs() < 0.03, "corrupt rate {cr}");
         assert!((dr - 0.1).abs() < 0.03, "drop rate {dr}");
-    }
-
-    #[test]
-    fn chunk_corrupt_byte_in_bounds() {
-        let p = FaultPlan::quiet(4).with_chunk_faults(1.0, 0.0);
-        for chunk in 0..100 {
-            assert!(p.chunk_corrupt_byte(0, 3, chunk, 555) < 555);
-        }
-        assert_eq!(p.chunk_corrupt_byte(0, 3, 0, 0), 0);
     }
 
     #[test]

@@ -24,10 +24,12 @@ mod spec;
 pub use clock::{VirtualClock, WallClock};
 pub use cost::Access;
 pub use explain::{SendBreakdown, SendPath};
-pub use fault::{ChunkFault, CrashPoint, FaultPlan, LinkDegradation, PersistentFault, SendFault};
+pub use fault::{
+    ChunkFault, ChunkSchedule, CrashPoint, FaultPlan, LinkDegradation, PersistentFault, SendFault,
+};
 pub use jitter::Jitter;
 pub use platform::{
-    CpuModel, Datapath, MemModel, NetModel, PipelineSpec, Platform, PlatformId, ProtocolModel,
+    CpuModel, Datapath, MemModel, NetModel, Platform, PlatformId, ProtocolModel,
     RmaModel, DEFAULT_DEADLOCK_TIMEOUT_S,
 };
 pub use spec::SpecError;

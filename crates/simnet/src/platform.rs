@@ -14,66 +14,10 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-use crate::fault::FaultPlan;
+use crate::fault::{ChunkSchedule, FaultPlan};
 
 /// Default per-wait deadlock timeout, seconds.
 pub const DEFAULT_DEADLOCK_TIMEOUT_S: f64 = 60.0;
-
-/// Streaming knobs of the pipelined (chunked) rendezvous datapath.
-///
-/// A pure **wall-clock** optimization: whether a payload streams as
-/// chunks or travels as one monolithic buffer, the virtual-time charges
-/// (and their jitter draws) are identical, so results never depend on
-/// these values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineSpec {
-    /// Packed payload size in bytes at or above which a blocking
-    /// rendezvous send streams its payload chunk-by-chunk while the
-    /// receiver unpacks in place. `u64::MAX` disables streaming.
-    pub threshold_bytes: u64,
-    /// Target chunk size in bytes (each chunk end is aligned down to a
-    /// pack-plan block boundary).
-    pub chunk_bytes: u64,
-}
-
-impl PipelineSpec {
-    /// Default streaming threshold (4 MiB).
-    pub const DEFAULT_THRESHOLD: u64 = 4 << 20;
-    /// Default chunk size (2 MiB).
-    pub const DEFAULT_CHUNK: u64 = 2 << 20;
-
-    /// A spec that never streams.
-    pub fn disabled() -> PipelineSpec {
-        PipelineSpec { threshold_bytes: u64::MAX, chunk_bytes: Self::DEFAULT_CHUNK }
-    }
-}
-
-impl Default for PipelineSpec {
-    fn default() -> Self {
-        PipelineSpec {
-            threshold_bytes: Self::DEFAULT_THRESHOLD,
-            chunk_bytes: Self::DEFAULT_CHUNK,
-        }
-    }
-}
-
-/// The process-wide pipeline spec from `NONCTG_PIPELINE_THRESHOLD` /
-/// `NONCTG_PIPELINE_CHUNK` (bytes), resolved once.
-fn env_pipeline() -> PipelineSpec {
-    static V: OnceLock<PipelineSpec> = OnceLock::new();
-    *V.get_or_init(|| {
-        let env_u64 = |name: &str| {
-            std::env::var(name).ok().and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        PipelineSpec {
-            threshold_bytes: env_u64("NONCTG_PIPELINE_THRESHOLD")
-                .unwrap_or(PipelineSpec::DEFAULT_THRESHOLD),
-            chunk_bytes: env_u64("NONCTG_PIPELINE_CHUNK")
-                .unwrap_or(PipelineSpec::DEFAULT_CHUNK)
-                .max(4096),
-        }
-    })
-}
 
 /// Which engine a non-contiguous send routes through.
 ///
@@ -315,12 +259,6 @@ pub struct Platform {
     /// Injected fault schedule, if any. `None` disables fault injection
     /// entirely; the presets all start fault-free.
     pub fault: Option<FaultPlan>,
-    /// Chunked-datapath streaming spec. `None` (all presets) defers to
-    /// the `NONCTG_PIPELINE_THRESHOLD` / `NONCTG_PIPELINE_CHUNK`
-    /// environment variables; `Some` overrides them in-process (see
-    /// [`Platform::with_pipeline`]). Wall-clock only — virtual time is
-    /// charged identically either way.
-    pub pipeline: Option<PipelineSpec>,
     /// Forced non-contiguous datapath engine. [`Datapath::Auto`] (all
     /// presets) defers first to the `NONCTG_DATAPATH` environment
     /// variable and then to the adaptive selector; any other value wins
@@ -348,21 +286,6 @@ impl Platform {
         self
     }
 
-    /// Builder: force the chunked-datapath streaming spec, overriding the
-    /// environment variables (tests/benches use this to pin or disable
-    /// streaming in-process).
-    pub fn with_pipeline(mut self, threshold_bytes: u64, chunk_bytes: u64) -> Platform {
-        self.pipeline = Some(PipelineSpec { threshold_bytes, chunk_bytes });
-        self
-    }
-
-    /// Builder: disable payload streaming entirely (every rendezvous send
-    /// ships one monolithic buffer).
-    pub fn without_pipeline(mut self) -> Platform {
-        self.pipeline = Some(PipelineSpec::disabled());
-        self
-    }
-
     /// Builder: force a non-contiguous datapath engine in-process,
     /// overriding both the selector and the `NONCTG_DATAPATH`
     /// environment variable (calibration and differential tests use this
@@ -382,13 +305,12 @@ impl Platform {
         env_datapath()
     }
 
-    /// The streaming spec in force: the explicit [`Platform::pipeline`]
-    /// override when set, else the environment/default spec. Chunk size
-    /// is clamped to at least one byte.
-    pub fn effective_pipeline(&self) -> PipelineSpec {
-        let mut spec = self.pipeline.unwrap_or_else(env_pipeline);
-        spec.chunk_bytes = spec.chunk_bytes.max(1);
-        spec
+    /// The notional chunk schedule of this platform's fault plan (the
+    /// default schedule without one). No send streams its payload; the
+    /// schedule only sizes the chunk-fault forecast (see
+    /// [`FaultPlan::chunk_schedule`]).
+    pub fn effective_pipeline(&self) -> ChunkSchedule {
+        self.fault.as_ref().map(|f| f.chunk_schedule).unwrap_or_default()
     }
 
     /// The deadlock timeout actually in force: the
@@ -454,7 +376,6 @@ impl Platform {
             seed: 0x5b_1001,
             fault: None,
             datapath: Datapath::Auto,
-            pipeline: None,
             deadlock_timeout_s: DEFAULT_DEADLOCK_TIMEOUT_S,
         }
     }
@@ -497,7 +418,6 @@ impl Platform {
             seed: 0x5b_1002,
             fault: None,
             datapath: Datapath::Auto,
-            pipeline: None,
             deadlock_timeout_s: DEFAULT_DEADLOCK_TIMEOUT_S,
         }
     }
@@ -542,7 +462,6 @@ impl Platform {
             seed: 0x5b_1003,
             fault: None,
             datapath: Datapath::Auto,
-            pipeline: None,
             deadlock_timeout_s: DEFAULT_DEADLOCK_TIMEOUT_S,
         }
     }
@@ -586,7 +505,6 @@ impl Platform {
             seed: 0x5b_1004,
             fault: None,
             datapath: Datapath::Auto,
-            pipeline: None,
             deadlock_timeout_s: DEFAULT_DEADLOCK_TIMEOUT_S,
         }
     }
